@@ -15,7 +15,7 @@ import numpy as np
 
 from haarprod import AspectConfig
 from haarprod.limit_law import RadialLaw
-from haarprod.spectra import collect_sample
+from haarprod.pipeline import collect_sample
 from haarprod.stats import ks_angular, ks_radial
 
 

@@ -18,7 +18,7 @@ from scipy.stats import beta
 
 from haarprod import AspectConfig
 from haarprod.limit_law import RadialLaw
-from haarprod.spectra import collect_sample
+from haarprod.pipeline import collect_sample
 
 
 def expected_fraction_outside(m: int, n: int) -> float:

@@ -13,7 +13,8 @@ from .limit_law import (
     s_eval,
     s_inverse,
 )
-from .spectra import EigenSample, collect_sample, eigenvalues
+from .pipeline import collect_sample
+from .spectra import EigenSample, eigenvalues
 from .stats import KsReport, ks_angular, ks_radial, moment_report
 
 __all__ = [

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .config import ConfigError
 from .pipeline import (
-    MODES,
     ExperimentConfig,
     run_analytic_cdf,
     run_exact_sample,
@@ -25,6 +24,11 @@ from .pipeline import (
     write_verify,
 )
 from .spectra import EigensolverError, RadiusOverflowError
+
+# JSON config keys and the types their values may take; dims is a list of ints
+CONFIG_TYPES = {"n": int, "dims": list, "trials": int, "master_seed": int,
+                "delta": (int, float), "grid_points": int, "series_order": int,
+                "moment_pmax": int}
 
 DEFAULT_OUT_NAME = {
     "sample-eigs": "eigs.csv",
@@ -49,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "truncated Haar unitary matrices",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in DEFAULT_OUT_NAME:
         p = sub.add_parser(mode)
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--n", type=int, help="ambient dimension")
@@ -62,18 +66,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args) -> ExperimentConfig:
-    fields = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+def _has_type(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _read_config_file(path) -> dict:
+    """Keys of a JSON config file, each checked against CONFIG_TYPES."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        for key in ("n", "dims", "trials", "master_seed", "delta",
-                    "grid_points", "series_order", "moment_pmax"):
-            if key in raw:
-                fields[key] = raw[key]
-        unknown = set(raw) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = set(raw) - set(CONFIG_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _has_type(value, CONFIG_TYPES[key]) or (
+            key == "dims" and not all(_has_type(d, int) for d in value)
+        ):
+            raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+    return raw
+
+
+def load_config(args) -> ExperimentConfig:
+    fields = _read_config_file(args.config) if args.config is not None else {}
     if args.n is not None:
         fields["n"] = args.n
     if args.dims is not None:

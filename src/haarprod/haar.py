@@ -11,10 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class HaarSamplingError(RuntimeError):
-    """QR repeatedly failed on a numerically rank-deficient Ginibre draw."""
-
-
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Derive an independent generator from a master seed and an integer key.
 
@@ -39,18 +35,14 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     QR of a Ginibre matrix, then each column of Q is multiplied by the
     phase of the corresponding diagonal entry of R.  This makes the
     factorization the unique one with positive-diagonal R, which is the
-    construction that is provably Haar.
+    construction that is provably Haar.  A zero pivot (probability zero)
+    keeps phase 1, so Q stays unitary.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    for _ in range(3):
-        g = sample_ginibre(n, n, rng)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        if np.any(np.abs(d) < n * np.finfo(float).tiny * 16):
-            continue  # rank-deficient draw, probability zero in theory
-        return q * (d / np.abs(d))
-    raise HaarSamplingError(f"Ginibre draw rank-deficient 3 times at n={n}")
+    q, r = np.linalg.qr(sample_ginibre(n, n, rng))
+    d = np.diagonal(r)
+    return q * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
 
 
 def truncate_block(u: np.ndarray, p: int, q: int) -> np.ndarray:

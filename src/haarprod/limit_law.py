@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import ConfigError
+
 # w below -1 + _W_FLOOR is numerically indistinguishable from -1; CDF mass
 # there is far below 1e-10 for every parameter set of interest
 _W_FLOOR = 1e-15
@@ -33,8 +35,8 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class DegenerateLawError(ValueError):
-    """Analytic CDF requested for a law with some alpha equal to 1."""
+class DegenerateLawError(ConfigError):
+    """Analytic law requested with some alpha equal to 1 (some dim equal to n)."""
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,17 @@ class RadialLaw:
     def support_radius(self) -> float:
         return 1.0 / np.sqrt(self.alpha_product)
 
-    def _require_nondegenerate(self):
+    def require_nondegenerate(self):
         if any(a <= 1.0 for a in self.alphas):
             raise DegenerateLawError(
-                "analytic CDF requires every alpha > 1; alpha = 1 is only "
-                "supported by the exact sampler"
+                "the analytic law requires every alpha > 1 (all dims strictly "
+                "below n); alpha = 1 is only supported by exact-sample"
             )
 
 
 def s_eval(law: RadialLaw, w: float) -> float:
     """Evaluate S(w) for w in (-1, 0]; strictly decreasing, S(0)=prod(alpha)."""
-    law._require_nondegenerate()
+    law.require_nondegenerate()
     if not (-1.0 < w <= 0.0):
         raise DomainError(f"w must lie in (-1, 0], got {w}")
     a = np.asarray(law.alphas)
@@ -131,7 +133,7 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
 
 def s_inverse(law: RadialLaw, s: float) -> float:
     """The unique w in (-1, 0] with S(w) = s; requires s >= prod(alpha)."""
-    law._require_nondegenerate()
+    law.require_nondegenerate()
     prod = law.alpha_product
     if s < prod * (1.0 - 1e-12):
         raise DomainError(f"s={s} below the range minimum prod(alpha)={prod}")
@@ -143,7 +145,7 @@ def s_inverse(law: RadialLaw, s: float) -> float:
 
 def cdf_many(law: RadialLaw, t) -> np.ndarray:
     """Radial CDF evaluated on an array of radii (generic numeric path)."""
-    law._require_nondegenerate()
+    law.require_nondegenerate()
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("radius must be nonnegative")
@@ -167,26 +169,9 @@ def cdf(law: RadialLaw, t: float) -> float:
     return float(cdf_many(law, np.asarray([t]))[0])
 
 
-def squared_radius_cdf(law: RadialLaw, x: float) -> float:
-    """CDF of the squared radius, G(x) = 1 + S^{-1}(1/x); F(t) = G(t^2)."""
-    law._require_nondegenerate()
-    if x < 0:
-        raise DomainError("squared radius must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x >= 1.0 / law.alpha_product:
-        return 1.0
-    s = max(1.0 / x, law.alpha_product)
-    s_cap, _ = _log_s(law, np.asarray(_V_FLOOR))
-    if np.log(s) >= s_cap:
-        return 0.0
-    v = _invert_many(law, np.asarray([s], dtype=float))[0]
-    return float(np.exp(v))
-
-
 def quantile(law: RadialLaw, p: float) -> float:
     """Inverse radial CDF; closed form t = S(p-1)^{-1/2}."""
-    law._require_nondegenerate()
+    law.require_nondegenerate()
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0, 1], got {p}")
     if p == 0.0:
@@ -224,20 +209,6 @@ def pdf_radial_equal_alpha(alpha: float, k: int, t: float) -> float:
         return 0.0
     u = t ** (2.0 / k)
     return 2.0 * (alpha - 1.0) / k * u / t / (1.0 - u) ** 2
-
-
-def pdf_numeric(law: RadialLaw, t: float) -> float:
-    """Central-difference derivative of the generic CDF (approximate).
-
-    The unequal-alpha density has no closed form; this is provided for
-    reporting only.
-    """
-    h = 1e-6 * law.support_radius
-    lo = max(t - h, 0.0)
-    hi = min(t + h, law.support_radius)
-    if hi <= lo:
-        return 0.0
-    return (cdf(law, hi) - cdf(law, lo)) / (hi - lo)
 
 
 def radius_from_uniform(u, alpha: float, k: int):

@@ -19,11 +19,9 @@ from . import limit_law, series, stats
 from .config import AspectConfig, ConfigError
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
-from .spectra import EigenSample, _radii_angles, eigenvalues
+from .spectra import EigenSample, eigenvalues, radii_angles
 
 SCHEMA_VERSION = 1
-
-MODES = ("sample-eigs", "analytic-cdf", "exact-sample", "verify", "series-check")
 
 
 @dataclass(frozen=True)
@@ -48,19 +46,19 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.series_order < 1:
+            raise ConfigError(f"series_order must be positive, got {self.series_order}")
+        if self.moment_pmax < 1:
+            raise ConfigError(f"moment_pmax must be positive, got {self.moment_pmax}")
 
     def aspect(self) -> AspectConfig:
         return AspectConfig(n=self.n, dims=self.dims)
 
     def law(self) -> RadialLaw:
-        return RadialLaw(alphas=self.aspect().alphas)
-
-    def require_nondegenerate(self):
-        if min(self.aspect().alphas) <= 1.0:
-            raise ConfigError(
-                "analytic modes require every alpha > 1 (all dims strictly "
-                "below n); alpha = 1 is only supported by exact-sample"
-            )
+        """The limit law; rejects alpha = 1 (a ConfigError) for analytic modes."""
+        law = RadialLaw(alphas=self.aspect().alphas)
+        law.require_nondegenerate()
+        return law
 
 
 def _fmt(x: float) -> str:
@@ -76,12 +74,30 @@ def write_table(path, header: list[str], rows) -> None:
             fh.write("\n")
 
 
+def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
+    """The one sampling loop: each trial's product matrix and its spectrum.
+
+    Yields (trial, b, (eigenvalues, radii, angles, origin_count)) in trial
+    order; a numerical failure names the seed and the trial.
+    """
+    for t in range(trials):
+        context = f"seed={master_seed} trial={t}"
+        b = product_chain(config, master_seed, trial=t)
+        eigs = eigenvalues(b, context=context)
+        yield t, b, (eigs, *radii_angles(eigs, context))
+
+
+def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> EigenSample:
+    """Concatenated spectra of `trials` independent product-chain draws."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    spectra = [spectrum for _, _, spectrum in trial_spectra(config, trials, master_seed)]
+    return EigenSample.pool(spectra, master_seed, config, trials)
+
+
 def eig_rows(config: AspectConfig, trials: int, master_seed: int):
     """Per-trial eigenvalue table rows (trial, re, im, radius, angle)."""
-    for t in range(trials):
-        b = product_chain(config, master_seed, trial=t)
-        eigs = eigenvalues(b, context=f"seed={master_seed} trial={t}")
-        radii, angles, _ = _radii_angles(eigs, context=f"seed={master_seed} trial={t}")
+    for t, _, (eigs, radii, angles, _) in trial_spectra(config, trials, master_seed):
         for lam, r, a in zip(eigs, radii, angles):
             yield (t, float(lam.real), float(lam.imag), float(r), float(a))
 
@@ -92,7 +108,6 @@ def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
 
 
 def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
-    cfg.require_nondegenerate()
     law = cfg.law()
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     fs = limit_law.cdf_many(law, ts)
@@ -136,8 +151,7 @@ def series_residuals(alphas, order: int):
 
 
 def run_series_check(cfg: ExperimentConfig, out_path) -> None:
-    cfg.require_nondegenerate()
-    rows = series_residuals(cfg.aspect().alphas, cfg.series_order)
+    rows = series_residuals(cfg.law().alphas, cfg.series_order)
     write_table(out_path, ["power", "closed_form", "pipeline", "residual"], rows)
 
 
@@ -147,22 +161,17 @@ def run_verify(cfg: ExperimentConfig):
     Returns (report, meta); the report is deterministic in (config, seed),
     the meta dict holds wall-clock per phase.
     """
-    cfg.require_nondegenerate()
+    law = cfg.law()  # rejects alpha = 1 before anything is sampled
     aspect = cfg.aspect()
-    law = cfg.law()
     meta = {"timestamp": time.time(), "wall_clock_s": {}}
 
     t0 = time.perf_counter()
-    all_eigs = []
+    spectra = []
     moments = np.zeros((cfg.trials, cfg.moment_pmax))
-    for t in range(cfg.trials):
-        b = product_chain(aspect, cfg.master_seed, trial=t)
-        all_eigs.append(eigenvalues(b, context=f"seed={cfg.master_seed} trial={t}"))
-        for p in range(1, cfg.moment_pmax + 1):
-            moments[t, p - 1] = trace_moment(b, p)
-    eigs = np.concatenate(all_eigs)
-    radii, angles, origin_count = _radii_angles(eigs, context=f"seed={cfg.master_seed}")
-    sample = EigenSample(eigs, radii, angles, origin_count, cfg.master_seed, aspect, cfg.trials)
+    for t, b, spectrum in trial_spectra(aspect, cfg.trials, cfg.master_seed):
+        spectra.append(spectrum)
+        moments[t] = [trace_moment(b, p) for p in range(1, cfg.moment_pmax + 1)]
+    sample = EigenSample.pool(spectra, cfg.master_seed, aspect, cfg.trials)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -194,7 +203,7 @@ def run_verify(cfg: ExperimentConfig):
             "series_order": cfg.series_order,
         },
         "support_radius": law.support_radius,
-        "origin_eigenvalues": origin_count,
+        "origin_eigenvalues": sample.origin_count,
         "ks": [ks_dict(radial), ks_dict(angular)],
         "moments": [asdict(r) for r in rows],
         "series_check": {

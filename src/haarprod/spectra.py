@@ -8,7 +8,6 @@ import numpy as np
 import scipy.linalg
 
 from .config import AspectConfig
-from .haar import product_chain
 
 # eigenvalues of a contraction may poke above 1 by roundoff; anything
 # larger than this is treated as a real failure, not noise
@@ -40,6 +39,13 @@ class EigenSample:
     config: AspectConfig
     trials: int
 
+    @classmethod
+    def pool(cls, spectra, master_seed: int, config: AspectConfig, trials: int):
+        """Concatenate per-trial (eigenvalues, radii, angles, origin_count)."""
+        eigs, radii, angles, origins = zip(*spectra)
+        return cls(np.concatenate(eigs), np.concatenate(radii), np.concatenate(angles),
+                   sum(origins), master_seed, config, trials)
+
 
 def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
     """All eigenvalues (with multiplicity) of a square complex matrix."""
@@ -54,7 +60,8 @@ def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
         raise EigensolverError(f"eigenvalue iteration failed ({context})") from exc
 
 
-def _radii_angles(eigs: np.ndarray, context: str):
+def radii_angles(eigs: np.ndarray, context: str):
+    """Radii (roundoff above 1 clipped), angles in [0, 2*pi) and origin count."""
     radii = np.abs(eigs)
     over = radii > 1.0 + RADIUS_SLACK
     if np.any(over):
@@ -67,29 +74,3 @@ def _radii_angles(eigs: np.ndarray, context: str):
     angles = np.mod(np.angle(eigs), 2 * np.pi)
     angles[at_origin] = 0.0
     return radii, angles, int(at_origin.sum())
-
-
-def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> EigenSample:
-    """Concatenated spectra of `trials` independent product-chain draws."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    chunks = []
-    for t in range(trials):
-        b = product_chain(config, master_seed, trial=t)
-        try:
-            chunks.append(eigenvalues(b, context=f"seed={master_seed} trial={t}"))
-        except EigensolverError:
-            raise
-    eigs = np.concatenate(chunks)
-    radii, angles, origin_count = _radii_angles(
-        eigs, context=f"seed={master_seed} config={config}"
-    )
-    return EigenSample(
-        eigenvalues=eigs,
-        radii=radii,
-        angles=angles,
-        origin_count=origin_count,
-        master_seed=master_seed,
-        config=config,
-        trials=trials,
-    )

@@ -61,16 +61,12 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
 
 def ks_radial(sample: EigenSample, law: RadialLaw, delta: float = 0.001) -> KsReport:
     """KS distance of pooled eigenvalue radii against the radial CDF."""
-    radii = np.sort(sample.radii)
-    model = limit_law.cdf_many(law, radii)
-    stat = ks_statistic(radii, model)
-    thr = dkw_threshold(len(radii), delta)
-    return KsReport(stat, len(radii), thr, stat <= thr, "radial")
+    return ks_radii_against_law(sample.radii, law, delta, "radial")
 
 
 def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001,
                          label: str = "radial") -> KsReport:
-    """Same as ks_radial but for a bare radius array (e.g. exact draws)."""
+    """KS distance of a bare radius array (eigenvalue or exact draws) against the law."""
     radii = np.sort(np.asarray(radii, dtype=float))
     model = limit_law.cdf_many(law, radii)
     stat = ks_statistic(radii, model)

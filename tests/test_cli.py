@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import main
+from haarprod.pipeline import collect_sample
+from haarprod.stats import ks_radial
 
 
 def read_csv(path):
@@ -136,3 +139,67 @@ class TestConfigHandling:
         monkeypatch.setenv("HAARPROD_OUT", str(tmp_path))
         assert main(["series-check", "--n", "8", "--dims", "4,4"]) == 0
         assert (tmp_path / "series_check.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        None,  # no file at all
+        '{"n": 8, "dims": [4, 4]',
+        '{"n": "8", "dims": [4, 4]}',
+    ], ids=["missing", "malformed-json", "string-n"])
+    def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        if content is not None:
+            cfgfile.write_text(content)
+        assert main(["sample-eigs", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("haarprod: config error: ")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["moment_pmax", "series_order"])
+    def test_nonpositive_order_rejected(self, tmp_path, capsys, field, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 8, "dims": [4, 4], field: value}))
+        assert main(["verify", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert field in line
+
+
+@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
+def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode):
+    real = pipeline.eigenvalues
+    calls = []
+
+    def radius_overflow_on_trial_1(b, context=""):
+        eigs = real(b, context)
+        if len(calls) == 1:
+            eigs[0] = 1.1
+        calls.append(context)
+        return eigs
+
+    monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
+    assert main([mode, "--n", "16", "--dims", "8,8", "--trials", "3", "--seed", "4",
+                 "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("haarprod: numerical failure: ")
+    assert "seed=4" in line and "trial=1" in line
+
+
+def test_every_consumer_sees_the_same_draws(tmp_path):
+    config = AspectConfig(n=24, dims=(12, 18, 12))
+    sample = collect_sample(config, trials=3, master_seed=8)
+    args = ["--n", "24", "--dims", "12,18,12", "--trials", "3", "--seed", "8"]
+
+    eigs = tmp_path / "eigs.csv"
+    assert main(["sample-eigs", *args, "--out", str(eigs)]) == 0
+    _, rows = read_csv(eigs)
+    assert np.array_equal(np.array([float(r[3]) for r in rows]), sample.radii)
+
+    report_path = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    radial = next(r for r in report["ks"] if r["label"] == "radial")
+    expected = ks_radial(sample, RadialLaw(config.alphas), report["config"]["delta"])
+    assert radial["statistic"] == expected.statistic
+    assert radial["sample_size"] == expected.sample_size
+    assert report["origin_eigenvalues"] == sample.origin_count

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from haarprod import AspectConfig, ConfigError
+from haarprod import AspectConfig, ConfigError, haar
 from haarprod.haar import (
     haar_unitary,
     product_chain,
@@ -65,6 +65,17 @@ class TestHaarUnitary:
         for seed in (0, 1):
             u = haar_unitary(n, substream(seed, n))
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12 * n
+
+    def test_zero_pivot_keeps_unitarity(self, monkeypatch):
+        # a zero first column makes R[0, 0] exactly 0; its phase stays 1
+        def ginibre_with_zero_column(rows, cols, rng):
+            g = sample_ginibre(rows, cols, rng)
+            g[:, 0] = 0.0
+            return g
+
+        monkeypatch.setattr(haar, "sample_ginibre", ginibre_with_zero_column)
+        u = haar_unitary(6, substream(4, 0))
+        assert np.max(np.abs(u @ u.conj().T - np.eye(6))) <= 1e-12
 
     def test_first_entry_second_moment(self):
         # E|U_11|^2 = 1/n for the Haar measure

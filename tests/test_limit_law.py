@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from haarprod import limit_law
 from haarprod.haar import substream
 from haarprod.limit_law import (
     DegenerateLawError,
@@ -141,15 +140,6 @@ class TestCdf:
             ts = np.linspace(0.0, law.support_radius * 1.05, 500)
             vals = cdf_many(law, ts)
             assert np.all(np.diff(vals) >= 0)
-
-    def test_depends_on_radius_only_through_square(self):
-        # F(t) = G(t^2) where G is the squared-radius CDF evaluated from
-        # 1/x directly, without going through the radius at all
-        law = RadialLaw((2.0, 1.5))
-        for t in np.linspace(0.01, law.support_radius, 50):
-            assert cdf(law, t) == pytest.approx(
-                limit_law.squared_radius_cdf(law, t * t), abs=1e-11
-            )
 
     def test_degenerate_limit_mass_near_one(self):
         law = RadialLaw((1.0 + 1e-6,))

@@ -4,7 +4,8 @@ import sympy
 
 from haarprod import AspectConfig
 from haarprod.haar import product_chain, substream
-from haarprod.spectra import collect_sample, eigenvalues
+from haarprod.pipeline import collect_sample
+from haarprod.spectra import eigenvalues
 
 
 def sorted_by_angle_then_mod(vals):

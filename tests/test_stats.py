@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from haarprod import AspectConfig, limit_law
 from haarprod.haar import product_chain, substream
 from haarprod.limit_law import RadialLaw, cdf_equal_alpha, exact_sample, quantile
-from haarprod.spectra import EigenSample, collect_sample
+from haarprod.pipeline import collect_sample
+from haarprod.spectra import EigenSample
 from haarprod.stats import (
     analytic_moments,
     dkw_threshold,
