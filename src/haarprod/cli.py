@@ -25,10 +25,10 @@ from .pipeline import (
 )
 from .spectra import EigensolverError, RadiusOverflowError
 
-# JSON config keys and the types their values may take; dims is a list of ints
+# JSON config keys, which are the ExperimentConfig fields and the flags' dests,
+# and the types their values may take; dims is a list of ints
 CONFIG_TYPES = {"n": int, "dims": list, "trials": int, "master_seed": int,
-                "delta": (int, float), "grid_points": int, "series_order": int,
-                "moment_pmax": int}
+                "delta": (int, float), "grid_points": int}
 
 DEFAULT_OUT_NAME = {
     "sample-eigs": "eigs.csv",
@@ -59,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="ambient dimension")
         p.add_argument("--dims", type=str, help="comma-separated block sizes n1..nk+1")
         p.add_argument("--trials", type=int, help="number of independent trials")
-        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
         p.add_argument("--delta", type=float, help="KS confidence parameter")
-        p.add_argument("--grid", type=int, help="grid points for analytic-cdf")
+        p.add_argument("--grid", type=int, dest="grid_points",
+                       help="grid points for analytic-cdf")
         p.add_argument("--out", type=Path, help="output file path")
     return parser
 
@@ -92,23 +93,14 @@ def _read_config_file(path) -> dict:
 
 def load_config(args) -> ExperimentConfig:
     fields = _read_config_file(args.config) if args.config is not None else {}
-    if args.n is not None:
-        fields["n"] = args.n
-    if args.dims is not None:
-        fields["dims"] = _parse_dims(args.dims)
-    if args.trials is not None:
-        fields["trials"] = args.trials
-    if args.seed is not None:
-        fields["master_seed"] = args.seed
-    if args.delta is not None:
-        fields["delta"] = args.delta
-    if args.grid is not None:
-        fields["grid_points"] = args.grid
+    for key in CONFIG_TYPES:  # flags win over the file
+        value = getattr(args, key)
+        if value is not None:
+            fields[key] = _parse_dims(value) if key == "dims" else value
     if "n" not in fields:
         raise ConfigError("n is required (flag --n or config file)")
     if "dims" not in fields:
         raise ConfigError("dims is required (flag --dims or config file)")
-    fields["dims"] = tuple(fields["dims"])
     return ExperimentConfig(**fields)
 
 

@@ -1,15 +1,16 @@
 """Experiment orchestration and machine-readable artifacts.
 
-Every run is fully determined by (config, master seed): tables are
-emitted with round-trippable 17-significant-digit reals, and the verify
-report is byte-identical across repeated runs.  Wall-clock timings and
-timestamps go to a separate .meta.json sidecar so they never perturb the
-deterministic artifact.
+Every run is fully determined by (config, master seed) at a fixed BLAS
+thread count: tables are emitted with round-trippable 17-significant-digit
+reals, and the verify report is byte-identical across repeated runs.
+Wall-clock timings and timestamps go to a separate .meta.json sidecar so
+they never perturb the deterministic artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -22,22 +23,22 @@ from .limit_law import RadialLaw
 from .spectra import EigenSample, eigenvalues, radii_angles
 
 SCHEMA_VERSION = 1
+# fixed analysis settings of `verify` and `series-check`
+SERIES_ORDER = 16
+MOMENT_PMAX = 3
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    n: int
-    dims: tuple[int, ...]
+class ExperimentConfig(AspectConfig):
+    """A run's parameters: the dimension chain plus sampling and test settings."""
+
     trials: int = 10
     master_seed: int = 0
     delta: float = 0.001
     grid_points: int = 256
-    series_order: int = 16
-    moment_pmax: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        self.aspect()  # validates n/dims
+        super().__post_init__()
         if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
         if not (0 <= self.master_seed < 2**64):
@@ -46,17 +47,10 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.series_order < 1:
-            raise ConfigError(f"series_order must be positive, got {self.series_order}")
-        if self.moment_pmax < 1:
-            raise ConfigError(f"moment_pmax must be positive, got {self.moment_pmax}")
-
-    def aspect(self) -> AspectConfig:
-        return AspectConfig(n=self.n, dims=self.dims)
 
     def law(self) -> RadialLaw:
         """The limit law; rejects alpha = 1 (a ConfigError) for analytic modes."""
-        law = RadialLaw(alphas=self.aspect().alphas)
+        law = RadialLaw(alphas=self.alphas)
         law.require_nondegenerate()
         return law
 
@@ -66,12 +60,22 @@ def _fmt(x: float) -> str:
 
 
 def write_table(path, header: list[str], rows) -> None:
-    """Delimited UTF-8 table; reals at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+    """Delimited UTF-8 table; reals at 17 significant digits.
+
+    Rows go to `path`.tmp, which replaces `path` once all are written, so a
+    failure while they are computed leaves an earlier table at `path` as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
@@ -92,7 +96,7 @@ def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> Eigen
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     spectra = [spectrum for _, _, spectrum in trial_spectra(config, trials, master_seed)]
-    return EigenSample.pool(spectra, master_seed, config, trials)
+    return EigenSample.pool(spectra)
 
 
 def eig_rows(config: AspectConfig, trials: int, master_seed: int):
@@ -103,7 +107,7 @@ def eig_rows(config: AspectConfig, trials: int, master_seed: int):
 
 
 def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
-    rows = eig_rows(cfg.aspect(), cfg.trials, cfg.master_seed)
+    rows = eig_rows(cfg, cfg.trials, cfg.master_seed)
     write_table(out_path, ["trial", "re", "im", "radius", "angle"], rows)
 
 
@@ -125,10 +129,10 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
 
 
 def run_exact_sample(cfg: ExperimentConfig, out_path) -> None:
-    law = RadialLaw(alphas=cfg.aspect().alphas)
+    law = RadialLaw(alphas=cfg.alphas)
     if not law.equal_alpha:
         raise ConfigError("exact-sample requires equal aspect ratios")
-    count = cfg.trials * cfg.aspect().out_dim
+    count = cfg.trials * cfg.out_dim
     draws = limit_law.exact_sample(
         law.alphas[0], law.k, count, substream(cfg.master_seed, 0)
     )
@@ -151,34 +155,33 @@ def series_residuals(alphas, order: int):
 
 
 def run_series_check(cfg: ExperimentConfig, out_path) -> None:
-    rows = series_residuals(cfg.law().alphas, cfg.series_order)
+    rows = series_residuals(cfg.law().alphas, SERIES_ORDER)
     write_table(out_path, ["power", "closed_form", "pipeline", "residual"], rows)
 
 
 def run_verify(cfg: ExperimentConfig):
     """Full pipeline: sample, compare, and assemble a report dict.
 
-    Returns (report, meta); the report is deterministic in (config, seed),
-    the meta dict holds wall-clock per phase.
+    Returns (report, meta); the report is deterministic in (config, seed)
+    at one BLAS thread count, the meta dict holds wall-clock per phase.
     """
     law = cfg.law()  # rejects alpha = 1 before anything is sampled
-    aspect = cfg.aspect()
     meta = {"timestamp": time.time(), "wall_clock_s": {}}
 
     t0 = time.perf_counter()
     spectra = []
-    moments = np.zeros((cfg.trials, cfg.moment_pmax))
-    for t, b, spectrum in trial_spectra(aspect, cfg.trials, cfg.master_seed):
+    moments = np.zeros((cfg.trials, MOMENT_PMAX))
+    for t, b, spectrum in trial_spectra(cfg, cfg.trials, cfg.master_seed):
         spectra.append(spectrum)
-        moments[t] = [trace_moment(b, p) for p in range(1, cfg.moment_pmax + 1)]
-    sample = EigenSample.pool(spectra, cfg.master_seed, aspect, cfg.trials)
+        moments[t] = [trace_moment(b, p) for p in range(1, MOMENT_PMAX + 1)]
+    sample = EigenSample.pool(spectra)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     radial = stats.ks_radial(sample, law, cfg.delta)
     angular = stats.ks_angular(sample, cfg.delta)
     rows = stats.moment_rows(moments, law)
-    resid = series_residuals(aspect.alphas, cfg.series_order)
+    resid = series_residuals(cfg.alphas, SERIES_ORDER)
     meta["wall_clock_s"]["analysis"] = time.perf_counter() - t0
 
     def ks_dict(r):
@@ -192,22 +195,13 @@ def run_verify(cfg: ExperimentConfig):
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "n": cfg.n,
-            "dims": list(cfg.dims),
-            "alphas": list(aspect.alphas),
-            "trials": cfg.trials,
-            "master_seed": cfg.master_seed,
-            "delta": cfg.delta,
-            "grid_points": cfg.grid_points,
-            "series_order": cfg.series_order,
-        },
+        "config": {**asdict(cfg), "alphas": cfg.alphas, "series_order": SERIES_ORDER},
         "support_radius": law.support_radius,
         "origin_eigenvalues": sample.origin_count,
         "ks": [ks_dict(radial), ks_dict(angular)],
         "moments": [asdict(r) for r in rows],
         "series_check": {
-            "order": cfg.series_order,
+            "order": SERIES_ORDER,
             "max_residual": max(r[3] for r in resid),
         },
     }

@@ -36,14 +36,6 @@ class PowerSeries:
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs)
 
-    @property
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (order+1 if all zero)."""
-        for j, c in enumerate(self.coeffs):
-            if c != 0.0:
-                return j
-        return self.order + 1
-
 
 def series(coeffs, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Build a series from low-order coefficients, zero-padded to `order`."""
@@ -63,18 +55,10 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def series_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Truncated quotient a/b; common factors of z are cancelled first."""
+    """Truncated quotient a/b; the divisor must have a nonzero constant term."""
+    if b.coeffs[0] == 0.0:
+        raise SeriesError("divisor has a zero constant term")
     order = min(a.order, b.order)
-    vb = b.valuation
-    if vb > b.order:
-        raise SeriesError("division by the zero series")
-    if vb > 0:
-        if a.valuation < vb:
-            raise SeriesError(
-                f"quotient is not a power series: divisor vanishes to order {vb}"
-            )
-        a = series(a.coeffs[vb:], order)
-        b = series(b.coeffs[vb:], order)
     aa, bb = a.array(), b.array()
     q = np.zeros(order + 1)
     for j in range(order + 1):

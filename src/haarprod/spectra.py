@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import AspectConfig
-
 # eigenvalues of a contraction may poke above 1 by roundoff; anything
 # larger than this is treated as a real failure, not noise
 RADIUS_SLACK = 1e-8
@@ -35,16 +33,13 @@ class EigenSample:
     radii: np.ndarray
     angles: np.ndarray
     origin_count: int
-    master_seed: int
-    config: AspectConfig
-    trials: int
 
     @classmethod
-    def pool(cls, spectra, master_seed: int, config: AspectConfig, trials: int):
+    def pool(cls, spectra):
         """Concatenate per-trial (eigenvalues, radii, angles, origin_count)."""
         eigs, radii, angles, origins = zip(*spectra)
         return cls(np.concatenate(eigs), np.concatenate(radii), np.concatenate(angles),
-                   sum(origins), master_seed, config, trials)
+                   sum(origins))
 
 
 def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:

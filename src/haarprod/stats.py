@@ -67,11 +67,8 @@ def ks_radial(sample: EigenSample, law: RadialLaw, delta: float = 0.001) -> KsRe
 def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001,
                          label: str = "radial") -> KsReport:
     """KS distance of a bare radius array (eigenvalue or exact draws) against the law."""
-    radii = np.sort(np.asarray(radii, dtype=float))
-    model = limit_law.cdf_many(law, radii)
-    stat = ks_statistic(radii, model)
-    thr = dkw_threshold(len(radii), delta)
-    return KsReport(stat, len(radii), thr, stat <= thr, label)
+    return _ks_report(np.asarray(radii, dtype=float), lambda r: limit_law.cdf_many(law, r),
+                      delta, label)
 
 
 def ks_angular(sample: EigenSample, delta: float = 0.001) -> KsReport:
@@ -79,13 +76,18 @@ def ks_angular(sample: EigenSample, delta: float = 0.001) -> KsReport:
 
     Eigenvalues at the origin have no angle and are excluded.
     """
-    angles = sample.angles[np.abs(sample.eigenvalues) > 0]
+    angles = sample.angles[sample.radii > 0]
     if len(angles) == 0:
         raise ValueError("all eigenvalues at the origin; no angular sample")
-    angles = np.sort(angles)
-    stat = ks_statistic(angles, angles / (2.0 * np.pi))
-    thr = dkw_threshold(len(angles), delta)
-    return KsReport(stat, len(angles), thr, stat <= thr, "angular")
+    return _ks_report(angles, lambda a: a / (2.0 * np.pi), delta, "angular")
+
+
+def _ks_report(values: np.ndarray, model_cdf, delta: float, label: str) -> KsReport:
+    """KS statistic of `values` against a vectorised model CDF, with its DKW threshold."""
+    values = np.sort(values)
+    stat = ks_statistic(values, model_cdf(values))
+    thr = dkw_threshold(len(values), delta)
+    return KsReport(stat, len(values), thr, stat <= thr, label)
 
 
 def analytic_moments(law: RadialLaw, p_max: int) -> list[float]:

@@ -182,7 +182,7 @@ def unequal_alpha_run():
     cfg = AspectConfig(n=1800, dims=(900, 1200, 900))
     law = RadialLaw(cfg.alphas)
     sam = collect_sample(cfg, trials=10, master_seed=0)
-    return {"law": law, "sample": sam, "radial": ks_radial(sam, law).statistic}
+    return {"config": cfg, "law": law, "sample": sam, "radial": ks_radial(sam, law).statistic}
 
 
 def test_criterion_1_series_pipeline():
@@ -292,7 +292,7 @@ def test_criterion_7_support_confinement(equal_alpha_study, unequal_alpha_run):
         for row in equal_alpha_study
         for tag, n in STUDY_SIZES
     ]
-    cfg = unequal_alpha_run["sample"].config
+    cfg = unequal_alpha_run["config"]
     pools.append((unequal_alpha_run["sample"].radii, (cfg.n, cfg.dims)))
     edges = {key: support_radius(*key) for _, key in pools}
     expected = {key: edge_mass(*key) for key in edges}

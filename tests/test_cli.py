@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from haarprod import AspectConfig, RadialLaw, pipeline
-from haarprod.cli import main
-from haarprod.pipeline import collect_sample
+from haarprod.cli import CONFIG_TYPES, main
+from haarprod.pipeline import ExperimentConfig, collect_sample
 from haarprod.stats import ks_radial
 
 
@@ -130,10 +131,24 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"n": 8, "dims": [4, 4], "bogus": 1}))
-        assert main(["sample-eigs", "--config", str(cfgfile)]) == 2
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # the series and moment orders are fixed by the program, not config keys
+        for key in ["bogus", "series_order", "moment_pmax"]:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"n": 8, "dims": [4, 4], key: 1}))
+            assert main(["sample-eigs", "--config", str(cfgfile)]) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("haarprod: config error: unknown config keys")
+            assert key in line
+
+    def test_config_keys_are_the_experiment_fields(self, tmp_path):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(CONFIG_TYPES) == names
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "2",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["config"]) == names | {"alphas", "series_order"}
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HAARPROD_OUT", str(tmp_path))
@@ -154,19 +169,9 @@ class TestConfigHandling:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("haarprod: config error: ")
 
-    @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("field", ["moment_pmax", "series_order"])
-    def test_nonpositive_order_rejected(self, tmp_path, capsys, field, value):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"n": 8, "dims": [4, 4], field: value}))
-        assert main(["verify", "--config", str(cfgfile),
-                     "--out", str(tmp_path / "r.json")]) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert field in line
 
-
-@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
-def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode):
+def fail_on_trial_1(monkeypatch):
+    """Make the eigenvalues of trial 1 overflow the unit disk."""
     real = pipeline.eigenvalues
     calls = []
 
@@ -178,11 +183,28 @@ def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, m
         return eigs
 
     monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
+
+
+@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
+def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode):
+    fail_on_trial_1(monkeypatch)
     assert main([mode, "--n", "16", "--dims", "8,8", "--trials", "3", "--seed", "4",
                  "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("haarprod: numerical failure: ")
     assert "seed=4" in line and "trial=1" in line
+
+
+def test_failed_run_keeps_the_earlier_table(tmp_path, monkeypatch):
+    out = tmp_path / "eigs.csv"
+    args = ["sample-eigs", "--n", "16", "--dims", "8,8", "--trials", "3", "--seed", "4",
+            "--out", str(out)]
+    assert main(args) == 0
+    before = out.read_bytes()
+    fail_on_trial_1(monkeypatch)
+    assert main(args) == 1
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eigs.csv"]
 
 
 def test_every_consumer_sees_the_same_draws(tmp_path):

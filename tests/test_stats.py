@@ -18,13 +18,12 @@ from haarprod.stats import (
 )
 
 
-def make_sample(eigs, config=None, seed=0, trials=1):
+def make_sample(eigs):
     eigs = np.asarray(eigs, dtype=complex)
     radii = np.minimum(np.abs(eigs), 1.0)
     angles = np.mod(np.angle(eigs), 2 * np.pi)
     angles[eigs == 0] = 0.0
-    return EigenSample(eigs, radii, angles, int(np.sum(eigs == 0)), seed,
-                       config or AspectConfig(n=4, dims=(2, 2)), trials)
+    return EigenSample(eigs, radii, angles, int(np.sum(eigs == 0)))
 
 
 class TestKsMachinery:
