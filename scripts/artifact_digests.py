@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 of the CLI's artifacts for 15 fixed (config, seed) runs.
+"""sha256 of the CLI's artifacts for 17 fixed (config, seed) runs.
 
     PYTHONPATH=src python3 scripts/artifact_digests.py [--threads T]
 
@@ -44,6 +44,9 @@ RUNS = [
     ("verify-config", "verify --config {config}"),
     ("verify-config-overridden", "verify --config {config} --n 48 --dims 24,24 "
      "--trials 3 --seed 13 --delta 0.05 --grid 16"),
+    # middle dims not in descending order, so the alphas are not sorted
+    ("analytic-cdf-n12-6.8.7.6", "analytic-cdf --n 12 --dims 6,8,7,6 --grid 64"),
+    ("verify-n24-12.16.14.12", "verify --n 24 --dims 12,16,14,12 --trials 2 --seed 3"),
 ]
 
 

@@ -46,8 +46,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ConfigError(f"dims must be comma-separated integers, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ConfigError (one line, exit 2) instead of usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haarprod",
         description="Limit law and Monte-Carlo spectra of products of "
         "truncated Haar unitary matrices",
@@ -112,8 +119,8 @@ def resolve_out(args) -> Path:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         out = resolve_out(args)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -129,6 +136,9 @@ def main(argv=None) -> int:
             run_series_check(cfg, out)
     except ConfigError as exc:
         print(f"haarprod: config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"haarprod: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (EigensolverError, RadiusOverflowError) as exc:
         print(f"haarprod: numerical failure: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ over the whole range.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,9 +42,9 @@ class DegenerateLawError(ConfigError):
 class RadialLaw:
     """Radial part of the limit law for aspect ratios alpha_1..alpha_k.
 
-    alphas are re-sorted descending so alpha_1 is the maximum, matching
-    the convention that the first/last block size is minimal; a warning
-    is emitted when input order changes.
+    Every alpha must exceed 1 (DegenerateLawError otherwise).  The alphas keep
+    the order given: the law depends on them only through alpha_1 = max(alphas)
+    and products symmetric in all of them.
     """
 
     alphas: tuple[float, ...]
@@ -54,15 +53,12 @@ class RadialLaw:
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) < 1:
             raise ValueError("at least one aspect ratio required")
-        if any(a < 1.0 for a in alphas):
-            raise ValueError(f"aspect ratios must be >= 1, got {alphas}")
-        ordered = tuple(sorted(alphas, reverse=True))
-        if ordered != alphas:
-            warnings.warn(
-                "alphas re-sorted descending so alpha_1 is the maximum",
-                stacklevel=3,
+        if any(a <= 1.0 for a in alphas):
+            raise DegenerateLawError(
+                "the analytic law requires every alpha > 1 (all dims strictly "
+                "below n); alpha = 1 is only supported by exact-sample"
             )
-        object.__setattr__(self, "alphas", ordered)
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def k(self) -> int:
@@ -80,28 +76,20 @@ class RadialLaw:
     def support_radius(self) -> float:
         return 1.0 / np.sqrt(self.alpha_product)
 
-    def require_nondegenerate(self):
-        if any(a <= 1.0 for a in self.alphas):
-            raise DegenerateLawError(
-                "the analytic law requires every alpha > 1 (all dims strictly "
-                "below n); alpha = 1 is only supported by exact-sample"
-            )
-
 
 def s_eval(law: RadialLaw, w: float) -> float:
     """Evaluate S(w) for w in (-1, 0]; strictly decreasing, S(0)=prod(alpha)."""
-    law.require_nondegenerate()
     if not (-1.0 < w <= 0.0):
         raise DomainError(f"w must lie in (-1, 0], got {w}")
     a = np.asarray(law.alphas)
-    a1 = law.alphas[0]
+    a1 = max(law.alphas)
     return float(np.prod(a * (a1 + w) / (a1 + a * w)))
 
 
 def _log_s(law: RadialLaw, v):
     """log S(-1 + e^v) and d/dv of it, vectorized over v <= 0."""
     a = np.asarray(law.alphas)[:, None]
-    a1 = law.alphas[0]
+    a1 = max(law.alphas)
     ev = np.exp(v)
     w = -1.0 + ev
     # alpha_1 + w = alpha_1 - 1 + e^v stays positive and well scaled
@@ -133,7 +121,6 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
 
 def s_inverse(law: RadialLaw, s: float) -> float:
     """The unique w in (-1, 0] with S(w) = s; requires s >= prod(alpha)."""
-    law.require_nondegenerate()
     prod = law.alpha_product
     if s < prod * (1.0 - 1e-12):
         raise DomainError(f"s={s} below the range minimum prod(alpha)={prod}")
@@ -145,7 +132,6 @@ def s_inverse(law: RadialLaw, s: float) -> float:
 
 def cdf_many(law: RadialLaw, t) -> np.ndarray:
     """Radial CDF evaluated on an array of radii (generic numeric path)."""
-    law.require_nondegenerate()
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("radius must be nonnegative")
@@ -171,7 +157,6 @@ def cdf(law: RadialLaw, t: float) -> float:
 
 def quantile(law: RadialLaw, p: float) -> float:
     """Inverse radial CDF; closed form t = S(p-1)^{-1/2}."""
-    law.require_nondegenerate()
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0, 1], got {p}")
     if p == 0.0:

@@ -15,6 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy
 
 from . import limit_law, series, stats
 from .config import AspectConfig, ConfigError
@@ -48,11 +49,18 @@ class ExperimentConfig(AspectConfig):
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
-    def law(self) -> RadialLaw:
-        """The limit law; rejects alpha = 1 (a ConfigError) for analytic modes."""
-        law = RadialLaw(alphas=self.alphas)
-        law.require_nondegenerate()
-        return law
+
+def environment() -> dict:
+    """What a report's last digits depend on: library builds and BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads_env": {k: os.environ.get(k) for k in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _fmt(x: float) -> str:
@@ -112,7 +120,7 @@ def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
 
 
 def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
-    law = cfg.law()
+    law = RadialLaw(cfg.alphas)
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     fs = limit_law.cdf_many(law, ts)
     if law.equal_alpha:
@@ -129,12 +137,11 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
 
 
 def run_exact_sample(cfg: ExperimentConfig, out_path) -> None:
-    law = RadialLaw(alphas=cfg.alphas)
-    if not law.equal_alpha:
+    if len(set(cfg.alphas)) > 1:
         raise ConfigError("exact-sample requires equal aspect ratios")
     count = cfg.trials * cfg.out_dim
     draws = limit_law.exact_sample(
-        law.alphas[0], law.k, count, substream(cfg.master_seed, 0)
+        cfg.alphas[0], cfg.k, count, substream(cfg.master_seed, 0)
     )
     rows = (
         (i, float(z.real), float(z.imag), float(abs(z)), float(np.mod(np.angle(z), 2 * np.pi)))
@@ -155,7 +162,8 @@ def series_residuals(alphas, order: int):
 
 
 def run_series_check(cfg: ExperimentConfig, out_path) -> None:
-    rows = series_residuals(cfg.law().alphas, SERIES_ORDER)
+    law = RadialLaw(cfg.alphas)
+    rows = series_residuals(law.alphas, SERIES_ORDER)
     write_table(out_path, ["power", "closed_form", "pipeline", "residual"], rows)
 
 
@@ -163,10 +171,11 @@ def run_verify(cfg: ExperimentConfig):
     """Full pipeline: sample, compare, and assemble a report dict.
 
     Returns (report, meta); the report is deterministic in (config, seed)
-    at one BLAS thread count, the meta dict holds wall-clock per phase.
+    at one BLAS thread count, the meta dict holds wall-clock per phase and
+    the environment those digits depend on.
     """
-    law = cfg.law()  # rejects alpha = 1 before anything is sampled
-    meta = {"timestamp": time.time(), "wall_clock_s": {}}
+    law = RadialLaw(cfg.alphas)  # rejects alpha = 1 before anything is sampled
+    meta = {"timestamp": time.time(), "wall_clock_s": {}, "environment": environment()}
 
     t0 = time.perf_counter()
     spectra = []

@@ -1,7 +1,7 @@
 """Truncated formal power series and the S-transform algebra.
 
-Series are plain coefficient tuples indexed by power, truncated at a
-fixed order (default 16).  Everything needed to reproduce the moment
+Series are plain coefficient tuples indexed by power, truncated at an
+order every caller names.  Everything needed to reproduce the moment
 series / S-transform pipeline is here: ring operations, composition,
 compositional inverse by Newton iteration, and the specific rational
 building blocks of the product law.
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_ORDER = 16
 
 
 class SeriesError(ValueError):
@@ -37,14 +35,14 @@ class PowerSeries:
         return np.asarray(self.coeffs)
 
 
-def series(coeffs, order: int = DEFAULT_ORDER) -> PowerSeries:
+def series(coeffs, order: int) -> PowerSeries:
     """Build a series from low-order coefficients, zero-padded to `order`."""
     a = list(coeffs)[: order + 1]
     a += [0.0] * (order + 1 - len(a))
     return PowerSeries(tuple(a))
 
 
-def identity_series(order: int = DEFAULT_ORDER) -> PowerSeries:
+def identity_series(order: int) -> PowerSeries:
     return series([0.0, 1.0], order)
 
 
@@ -105,12 +103,9 @@ def comp_inverse(f: PowerSeries) -> PowerSeries:
     return g
 
 
-def m_from_moments(moments, order: int | None = None) -> PowerSeries:
+def m_from_moments(moments, order: int) -> PowerSeries:
     """Moment generating series sum_p m_p z^p (zero constant term)."""
-    moments = list(moments)
-    if order is None:
-        order = len(moments)
-    return series([0.0] + moments, order)
+    return series([0.0] + list(moments), order)
 
 
 def s_transform_of(m: PowerSeries) -> PowerSeries:
@@ -138,50 +133,48 @@ def moments_from_s(s: PowerSeries) -> list[float]:
     return list(m.coeffs[1:])
 
 
-def rational_series(num, den, order: int = DEFAULT_ORDER) -> PowerSeries:
+def rational_series(num, den, order: int) -> PowerSeries:
     """Taylor expansion of a polynomial ratio."""
     return series_div(series(num, order), series(den, order))
 
 
-def s_block(alpha: float, order: int = DEFAULT_ORDER) -> PowerSeries:
+def s_block(alpha: float, order: int) -> PowerSeries:
     """S-transform of a corner projection: alpha (1+z) / (1 + alpha z)."""
     return rational_series([alpha, alpha], [1.0, alpha], order)
 
 
-def theorem_s_series(alphas, order: int = DEFAULT_ORDER) -> PowerSeries:
+def theorem_s_series(alphas, order: int) -> PowerSeries:
     """Taylor expansion of the closed-form product S-transform.
 
     prod_i alpha_i (alpha_1 + z) / (alpha_1 + alpha_i z), with alpha_1
     the largest aspect ratio.
     """
-    alphas = sorted(alphas, reverse=True)
-    a1 = alphas[0]
+    a1 = max(alphas)
     out = series([1.0], order)
     for a in alphas:
         out = series_mul(out, rational_series([a * a1, a], [a1, a], order))
     return out
 
 
-def product_s_check(alphas, order: int = DEFAULT_ORDER) -> PowerSeries:
+def product_s_check(alphas, order: int) -> PowerSeries:
     """Series product of the k+1 projection blocks (the un-rescaled law).
 
-    The first block, for the minimal dimension, enters twice.
+    The first block, for the minimal dimension (alpha_1 = max(alphas)),
+    enters twice.
     """
-    alphas = sorted(alphas, reverse=True)
-    out = s_block(alphas[0], order)
+    out = s_block(max(alphas), order)
     for a in alphas:
         out = series_mul(out, s_block(a, order))
     return out
 
 
-def scaled_s_check(alphas, order: int = DEFAULT_ORDER) -> PowerSeries:
+def scaled_s_check(alphas, order: int) -> PowerSeries:
     """Apply the trace-rescaling identity to the block product.
 
     S(z) = (1+z)/(alpha_1+z) * S_tilde(z/alpha_1); the result must equal
     the closed-form series coefficient-wise.
     """
-    alphas = sorted(alphas, reverse=True)
-    a1 = alphas[0]
+    a1 = max(alphas)
     tilde = product_s_check(alphas, order)
     scaled = PowerSeries(tuple(c / a1**j for j, c in enumerate(tilde.coeffs)))
     return series_mul(scaled, rational_series([1.0, 1.0], [a1, 1.0], order))

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, RadialLaw, pipeline
-from haarprod.cli import CONFIG_TYPES, main
+from haarprod.cli import CONFIG_TYPES, DEFAULT_OUT_NAME, main
 from haarprod.pipeline import ExperimentConfig, collect_sample
 from haarprod.stats import ks_radial
 
@@ -110,6 +114,18 @@ class TestVerify:
         assert "wall_clock_s" in meta
         assert "wall_clock_s" not in report
 
+    def test_sidecar_records_the_environment(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
+                     "--out", str(out)]) == 0
+        env = json.loads((tmp_path / "r.json.meta.json").read_text())["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "threads_env", "cpu_count"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["threads_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["cpu_count"] >= 1
+        assert "environment" not in json.loads(out.read_text())
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -168,6 +184,96 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "x.csv")]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("haarprod: config error: ")
+
+
+def test_unsorted_middle_dims_run_without_warning(tmp_path, capsys):
+    # alpha_1 = 2 is the largest; the middle alphas 1.5, 12/7 are not sorted
+    runs = [["analytic-cdf", "--n", "12", "--dims", "6,8,7,6", "--grid", "8"],
+            ["verify", "--n", "24", "--dims", "12,16,14,12", "--trials", "1"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"out{i}")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def assert_one_line_exit_2(argv, capsys, prefix):
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "abc", "--dims", "4,4"],
+    ["verify", "--n", "8", "--dims", "4,4", "--delta", "x"],
+    ["bogus", "--n", "8", "--dims", "4,4"],
+    [],
+], ids=["non-integer-n", "non-float-delta", "unknown-mode", "no-mode"])
+def test_bad_flag_exits_2_with_one_line(argv, capsys):
+    assert_one_line_exit_2(argv, capsys, prefix="haarprod: config error: ")
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
+def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, mode, where):
+    regular = tmp_path / "file"
+    regular.write_text("")
+    out = regular / "out" if where == "under-a-file" else tmp_path
+    assert_one_line_exit_2([mode, "--n", "8", "--dims", "4,4", "--trials", "1",
+                            "--out", str(out)], capsys, prefix="haarprod: cannot write output: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert not tmp_path.with_name(tmp_path.name + ".tmp").exists()
+
+
+def _parses(text, kind) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+VALID_FLAGS = {"--n": "8", "--dims": "4,4", "--trials": "1", "--seed": "0",
+               "--delta": "0.01", "--grid": "4"}
+
+
+def _valid_dims(text) -> bool:
+    """The chain rules: k+1 >= 2 sizes in [1, n], the first and last equal and minimal."""
+    if not all(_parses(part, int) for part in text.split(",")):
+        return False
+    dims = [int(part) for part in text.split(",")]
+    n = int(VALID_FLAGS["--n"])
+    return len(dims) >= 2 and all(1 <= d <= n for d in dims) and dims[0] == dims[-1] == min(dims)
+
+
+NOT_AN_INT = st.text(max_size=8).filter(lambda t: not _parses(t, int))
+INVALID_VALUES = {
+    "--n": st.one_of(NOT_AN_INT, st.integers(max_value=0)),
+    "--trials": st.one_of(NOT_AN_INT, st.integers(max_value=0)),
+    "--seed": st.one_of(NOT_AN_INT, st.integers(max_value=-1), st.integers(min_value=2**64)),
+    "--grid": st.one_of(NOT_AN_INT, st.integers(max_value=1)),
+    "--delta": st.one_of(st.text(max_size=8).filter(lambda t: not _parses(t, float)),
+                         st.floats(max_value=0.0), st.floats(min_value=1.0)),
+    "--dims": st.one_of(
+        st.text(max_size=12),
+        st.lists(st.integers(-2, 12), max_size=5).map(lambda d: ",".join(map(str, d))),
+    ).filter(lambda t: not _valid_dims(t)),
+}
+
+
+@given(data=st.data(), mode=st.sampled_from(sorted(DEFAULT_OUT_NAME)),
+       flag=st.sampled_from(sorted(INVALID_VALUES)))
+@settings(max_examples=200, deadline=None)
+def test_every_invalid_flag_exits_2_with_one_line(tmp_path_factory, data, mode, flag):
+    flags = dict(VALID_FLAGS, **{flag: data.draw(INVALID_VALUES[flag], label=flag)})
+    out = tmp_path_factory.getbasetemp() / "never-written"
+    argv = [mode, *(f"{k}={v}" for k, v in flags.items()), f"--out={out}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("haarprod: ")
+    assert not out.exists()
 
 
 def fail_on_trial_1(monkeypatch):

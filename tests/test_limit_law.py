@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from haarprod.limit_law import (
     s_eval,
     s_inverse,
 )
+from haarprod.series import theorem_s_series
 
 ALPHA_SETS = [(2.0,), (2.0, 2.0), (3.0, 1.5), (1.25, 1.25, 1.25), (3.0, 2.0, 1.5, 1.25)]
 
@@ -231,10 +234,20 @@ class TestExactSampler:
 
 
 class TestLawConstruction:
-    def test_resort_warns(self):
-        with pytest.warns(UserWarning):
+    def test_order_of_alphas_does_not_matter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             law = RadialLaw((1.5, 2.0))
-        assert law.alphas == (2.0, 1.5)
+        assert law.alphas == (1.5, 2.0)
+        ordered = RadialLaw((2.0, 1.5))
+        ts = np.linspace(0.0, law.support_radius, 200)
+        assert np.max(np.abs(cdf_many(law, ts) - cdf_many(ordered, ts))) <= 1e-15
+        diff = theorem_s_series(law.alphas, 16).array() - theorem_s_series(ordered.alphas, 16).array()
+        assert np.max(np.abs(diff)) <= 1e-14
+
+    def test_alpha_one_rejected_at_construction(self):
+        with pytest.raises(DegenerateLawError):
+            RadialLaw((2.0, 1.0))
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
