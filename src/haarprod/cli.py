@@ -9,6 +9,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -124,6 +125,8 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         out = resolve_out(args)
         out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir():  # fail before the first trial, not after the last
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
         if args.mode == "sample-eigs":
             run_sample_eigs(cfg, out)
         elif args.mode == "analytic-cdf":

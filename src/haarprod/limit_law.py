@@ -35,7 +35,7 @@ class DomainError(ValueError):
 
 
 class DegenerateLawError(ConfigError):
-    """Analytic law requested with some alpha equal to 1 (some dim equal to n)."""
+    """Analytic law requested with some alpha <= 1 (some dim not below n)."""
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,6 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
         step = np.where(df != 0.0, (f - target) / df, 0.0)
         v = np.clip(v - step, _V_FLOOR, 0.0)
     return v
-
-
-def s_inverse(law: RadialLaw, s: float) -> float:
-    """The unique w in (-1, 0] with S(w) = s; requires s >= prod(alpha)."""
-    prod = law.alpha_product
-    if s < prod * (1.0 - 1e-12):
-        raise DomainError(f"s={s} below the range minimum prod(alpha)={prod}")
-    if s <= prod:
-        return 0.0
-    v = _invert_many(law, np.asarray([s], dtype=float))[0]
-    return float(-1.0 + np.exp(v))
 
 
 def cdf_many(law: RadialLaw, t) -> np.ndarray:

@@ -156,7 +156,7 @@ def series_residuals(alphas, order: int):
     pipeline = series.scaled_s_check(alphas, order)
     rows = [
         (j, c, p, abs(c - p))
-        for j, (c, p) in enumerate(zip(closed.coeffs, pipeline.coeffs))
+        for j, (c, p) in enumerate(zip(closed.tolist(), pipeline.tolist()))
     ]
     return rows
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limit_law, series
-from .haar import trace_moment
 from .limit_law import RadialLaw
 from .spectra import EigenSample
 
@@ -109,9 +108,3 @@ def moment_rows(per_trial: np.ndarray, law: RadialLaw) -> list[MomentRow]:
         z = (mean - analytic[p - 1]) / se if se and se > 0 else float("nan")
         rows.append(MomentRow(p, mean, se, analytic[p - 1], float(z)))
     return rows
-
-
-def moment_report(matrices, law: RadialLaw, p_max: int) -> list[MomentRow]:
-    """Compare mean normalized trace moments across trials to the limit."""
-    table = np.array([[trace_moment(b, p) for p in range(1, p_max + 1)] for b in matrices])
-    return moment_rows(table, law)

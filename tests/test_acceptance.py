@@ -25,7 +25,7 @@ from haarprod.haar import haar_unitary, product_chain, substream, trace_moment
 from haarprod.limit_law import RadialLaw, cdf_equal_alpha, cdf_many, exact_sample, quantile
 from haarprod.pipeline import collect_sample
 from haarprod.series import comp_inverse, identity_series, scaled_s_check, series, series_compose, theorem_s_series
-from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_report
+from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_rows
 
 
 # Confidence parameter of the finite-n checks of criteria 4 and 7.
@@ -192,8 +192,8 @@ def test_criterion_1_series_pipeline():
     for k in range(1, 5):
         for combo in itertools.combinations_with_replacement(values, k):
             alphas = sorted(combo, reverse=True)
-            closed = theorem_s_series(alphas, 12).array()
-            piped = scaled_s_check(alphas, 12).array()
+            closed = theorem_s_series(alphas, 12)
+            piped = scaled_s_check(alphas, 12)
             worst = max(worst, float(np.max(np.abs(closed - piped))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 1.0
@@ -260,11 +260,13 @@ def test_criterion_5_unequal_alpha_convergence(unequal_alpha_run):
 def test_criterion_6_trace_moments():
     cfg2 = AspectConfig(n=400, dims=(200, 200, 200))
     mats2 = [product_chain(cfg2, 6, trial=t) for t in range(50)]
-    row_p1 = moment_report(mats2, RadialLaw(cfg2.alphas), p_max=1)[0]
+    table2 = np.array([[trace_moment(b, 1)] for b in mats2])
+    row_p1 = moment_rows(table2, RadialLaw(cfg2.alphas))[0]
 
     cfg1 = AspectConfig(n=400, dims=(200, 200))
     mats1 = [product_chain(cfg1, 7, trial=t) for t in range(50)]
-    row_p2 = moment_report(mats1, RadialLaw(cfg1.alphas), p_max=2)[1]
+    table1 = np.array([[trace_moment(b, p) for p in (1, 2)] for b in mats1])
+    row_p2 = moment_rows(table1, RadialLaw(cfg1.alphas))[1]
 
     ok = (
         row_p1.analytic == pytest.approx(0.25, abs=1e-12)
@@ -330,7 +332,7 @@ def test_criterion_8_property_suites():
         resid = max(
             resid,
             float(np.max(np.abs(
-                series_compose(f, comp_inverse(f)).array() - identity_series(16).array()
+                series_compose(f, comp_inverse(f)) - identity_series(16)
             ))),
         )
     checks["series round-trip"] = resid <= 1e-11

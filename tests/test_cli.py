@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import CONFIG_TYPES, DEFAULT_OUT_NAME, main
+from haarprod.haar import product_chain
 from haarprod.pipeline import ExperimentConfig, collect_sample
 from haarprod.stats import ks_radial
 
@@ -215,12 +216,20 @@ def test_bad_flag_exits_2_with_one_line(argv, capsys):
 
 @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
 @pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
-def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, mode, where):
+def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode, where):
+    calls = []
+
+    def counted_product_chain(*args, **kwargs):
+        calls.append(args)
+        return product_chain(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "product_chain", counted_product_chain)
     regular = tmp_path / "file"
     regular.write_text("")
     out = regular / "out" if where == "under-a-file" else tmp_path
-    assert_one_line_exit_2([mode, "--n", "8", "--dims", "4,4", "--trials", "1",
+    assert_one_line_exit_2([mode, "--n", "8", "--dims", "4,4", "--trials", "3",
                             "--out", str(out)], capsys, prefix="haarprod: cannot write output: ")
+    assert calls == []  # the destination is checked before the first trial
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
     assert not tmp_path.with_name(tmp_path.name + ".tmp").exists()
 
