@@ -22,6 +22,7 @@ from .pipeline import (
     run_exact_sample,
     run_sample_eigs,
     run_series_check,
+    sidecar_path,
     write_verify,
 )
 from .spectra import EigensolverError, RadiusOverflowError
@@ -125,8 +126,10 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         out = resolve_out(args)
         out.parent.mkdir(parents=True, exist_ok=True)
-        if out.is_dir():  # fail before the first trial, not after the last
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+        written = [out, Path(sidecar_path(out))] if args.mode == "verify" else [out]
+        for path in written:  # fail before the first trial, not after the last
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if args.mode == "sample-eigs":
             run_sample_eigs(cfg, out)
         elif args.mode == "analytic-cdf":

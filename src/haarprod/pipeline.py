@@ -1,14 +1,17 @@
 """Experiment orchestration and machine-readable artifacts.
 
 Every run is fully determined by (config, master seed) at a fixed BLAS
-thread count: tables are emitted with round-trippable 17-significant-digit
-reals, and the verify report is byte-identical across repeated runs.
-Wall-clock timings and timestamps go to a separate .meta.json sidecar so
-they never perturb the deterministic artifact.
+thread count.  A table is a dict of named 1-D columns, streamed row by row
+as integers or round-trippable 17-significant-digit reals; the verify
+report is byte-identical across repeated runs.  Wall-clock timings and
+timestamps go to a separate .meta.json sidecar so they never perturb the
+deterministic artifact.  Every file is written to `<path>.tmp` and then
+moved into place, so a failed write never leaves a truncated file at `<path>`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -63,27 +66,38 @@ def environment() -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _replace(path, chunks) -> None:
+    """Write the strings `chunks` to `path`.tmp, then move it over `path`.
 
-
-def write_table(path, header: list[str], rows) -> None:
-    """Delimited UTF-8 table; reals at 17 significant digits.
-
-    Rows go to `path`.tmp, which replaces `path` once all are written, so a
-    failure while they are computed leaves an earlier table at `path` as it was.
+    A failure while the chunks are produced or written leaves `path` as it was.
     """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-                fh.write("\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_table(path, columns: dict) -> None:
+    """Comma-separated UTF-8 table of named 1-D columns of equal length.
+
+    The header is the column names; integer columns are written as integers,
+    all others as reals at 17 significant digits.  Rows are formatted as they
+    are written, straight from the arrays; columns of unequal length raise
+    ValueError and leave `path` as it was.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
+    rows = map(row_format.__mod__, zip(*cols, strict=True))
+    _replace(path, itertools.chain([",".join(columns) + "\n"], rows))
+
+
+def sidecar_path(out_path) -> str:
+    """Where `verify` writes the timing and environment sidecar of `out_path`."""
+    return f"{out_path}.meta.json"
 
 
 def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
@@ -107,64 +121,46 @@ def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> Eigen
     return EigenSample.pool(spectra)
 
 
-def eig_rows(config: AspectConfig, trials: int, master_seed: int):
-    """Per-trial eigenvalue table rows (trial, re, im, radius, angle)."""
-    for t, _, (eigs, radii, angles, _) in trial_spectra(config, trials, master_seed):
-        for lam, r, a in zip(eigs, radii, angles):
-            yield (t, float(lam.real), float(lam.imag), float(r), float(a))
-
-
 def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
-    rows = eig_rows(cfg, cfg.trials, cfg.master_seed)
-    write_table(out_path, ["trial", "re", "im", "radius", "angle"], rows)
+    sample = collect_sample(cfg, cfg.trials, cfg.master_seed)
+    eigs = sample.eigenvalues
+    write_table(out_path, {"trial": np.repeat(np.arange(cfg.trials), cfg.out_dim),
+                           "re": eigs.real, "im": eigs.imag,
+                           "radius": sample.radii, "angle": sample.angles})
 
 
 def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
     law = RadialLaw(cfg.alphas)
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
-    fs = limit_law.cdf_many(law, ts)
+    columns = {"t": ts, "cdf": limit_law.cdf_many(law, ts)}
     if law.equal_alpha:
         alpha = law.alphas[0]
-        rows = [
-            (float(t), float(f), limit_law.pdf_radial_equal_alpha(alpha, law.k, t))
-            for t, f in zip(ts, fs)
-        ]
-        header = ["t", "cdf", "pdf"]
-    else:
-        rows = [(float(t), float(f)) for t, f in zip(ts, fs)]
-        header = ["t", "cdf"]
-    write_table(out_path, header, rows)
+        columns["pdf"] = [limit_law.pdf_radial_equal_alpha(alpha, law.k, t) for t in ts]
+    write_table(out_path, columns)
 
 
 def run_exact_sample(cfg: ExperimentConfig, out_path) -> None:
     if len(set(cfg.alphas)) > 1:
         raise ConfigError("exact-sample requires equal aspect ratios")
     count = cfg.trials * cfg.out_dim
-    draws = limit_law.exact_sample(
-        cfg.alphas[0], cfg.k, count, substream(cfg.master_seed, 0)
-    )
-    rows = (
-        (i, float(z.real), float(z.imag), float(abs(z)), float(np.mod(np.angle(z), 2 * np.pi)))
-        for i, z in enumerate(draws)
-    )
-    write_table(out_path, ["index", "re", "im", "radius", "angle"], rows)
+    z = limit_law.exact_sample(cfg.alphas[0], cfg.k, count, substream(cfg.master_seed, 0))
+    # radius by hypot: np.abs(z) differs from it in the last digit on some rows
+    write_table(out_path, {"index": np.arange(count), "re": z.real, "im": z.imag,
+                           "radius": np.hypot(z.real, z.imag),
+                           "angle": np.mod(np.angle(z), 2 * np.pi)})
 
 
-def series_residuals(alphas, order: int):
+def series_residuals(alphas, order: int) -> dict:
     """Coefficient-wise residuals of the rescaled block product vs closed form."""
     closed = series.theorem_s_series(alphas, order)
     pipeline = series.scaled_s_check(alphas, order)
-    rows = [
-        (j, c, p, abs(c - p))
-        for j, (c, p) in enumerate(zip(closed.tolist(), pipeline.tolist()))
-    ]
-    return rows
+    return {"power": np.arange(order + 1), "closed_form": closed, "pipeline": pipeline,
+            "residual": np.abs(closed - pipeline)}
 
 
 def run_series_check(cfg: ExperimentConfig, out_path) -> None:
     law = RadialLaw(cfg.alphas)
-    rows = series_residuals(law.alphas, SERIES_ORDER)
-    write_table(out_path, ["power", "closed_form", "pipeline", "residual"], rows)
+    write_table(out_path, series_residuals(law.alphas, SERIES_ORDER))
 
 
 def run_verify(cfg: ExperimentConfig):
@@ -211,17 +207,14 @@ def run_verify(cfg: ExperimentConfig):
         "moments": [asdict(r) for r in rows],
         "series_check": {
             "order": SERIES_ORDER,
-            "max_residual": max(r[3] for r in resid),
+            "max_residual": float(resid["residual"].max()),
         },
     }
     return report, meta
 
 
 def write_verify(cfg: ExperimentConfig, out_path) -> None:
+    """The sidecar is written first, so a report at `out_path` means the run finished."""
     report, meta = run_verify(cfg)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for path, obj in ((sidecar_path(out_path), meta), (out_path, report)):
+        _replace(path, [json.dumps(obj, indent=2, sort_keys=True), "\n"])

@@ -59,6 +59,7 @@ class TestSampleEigs:
         assert len(rows) == 24
         re, im, r = (np.array([float(row[i]) for row in rows]) for i in (1, 2, 3))
         assert np.max(np.abs(np.hypot(re, im) - np.minimum(r, 1.0))) <= 1e-8
+        assert [row[0] for row in rows] == ["0"] * 8 + ["1"] * 8 + ["2"] * 8
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -214,8 +215,10 @@ def test_bad_flag_exits_2_with_one_line(argv, capsys):
     assert_one_line_exit_2(argv, capsys, prefix="haarprod: config error: ")
 
 
-@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
-@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
+@pytest.mark.parametrize("mode, where", [
+    ("verify", "under-a-file"), ("verify", "a-directory"), ("verify", "sidecar-a-directory"),
+    ("sample-eigs", "under-a-file"), ("sample-eigs", "a-directory"),
+])
 def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode, where):
     calls = []
 
@@ -226,11 +229,16 @@ def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode,
     monkeypatch.setattr(pipeline, "product_chain", counted_product_chain)
     regular = tmp_path / "file"
     regular.write_text("")
-    out = regular / "out" if where == "under-a-file" else tmp_path
+    out = {"under-a-file": regular / "out", "a-directory": tmp_path,
+           "sidecar-a-directory": tmp_path / "r.json"}[where]
+    expected = ["file"]
+    if where == "sidecar-a-directory":
+        (tmp_path / "r.json.meta.json").mkdir()
+        expected.append("r.json.meta.json")
     assert_one_line_exit_2([mode, "--n", "8", "--dims", "4,4", "--trials", "3",
                             "--out", str(out)], capsys, prefix="haarprod: cannot write output: ")
     assert calls == []  # the destination is checked before the first trial
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
     assert not tmp_path.with_name(tmp_path.name + ".tmp").exists()
 
 
@@ -320,6 +328,22 @@ def test_failed_run_keeps_the_earlier_table(tmp_path, monkeypatch):
     assert main(args) == 1
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eigs.csv"]
+
+
+def test_write_table_bytes(tmp_path):
+    p = tmp_path / "t.csv"
+    reals = [0.1, 1 / 3, 1e-300]
+    pipeline.write_table(p, {"i": np.arange(3), "x": reals})
+    assert p.read_bytes() == b"i,x\n0,0.10000000000000001\n1,0.33333333333333331\n2,1e-300\n"
+    _, rows = read_csv(p)
+    assert [float(row[1]) for row in rows] == reals
+
+
+def test_write_table_rejects_unequal_columns(tmp_path):
+    p = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        pipeline.write_table(p, {"i": np.arange(3), "x": [0.5]})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_consumer_sees_the_same_draws(tmp_path):
