@@ -22,8 +22,8 @@ from .pipeline import (
     run_exact_sample,
     run_sample_eigs,
     run_series_check,
-    sidecar_path,
     write_verify,
+    written_paths,
 )
 from .spectra import EigensolverError, RadiusOverflowError
 
@@ -126,9 +126,8 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         out = resolve_out(args)
         out.parent.mkdir(parents=True, exist_ok=True)
-        written = [out, Path(sidecar_path(out))] if args.mode == "verify" else [out]
-        for path in written:  # fail before the first trial, not after the last
-            if path.is_dir():
+        for path in written_paths(out, args.mode == "verify"):
+            if os.path.isdir(path):  # fail before the first trial, not after the last
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if args.mode == "sample-eigs":
             run_sample_eigs(cfg, out)

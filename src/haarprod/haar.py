@@ -70,18 +70,15 @@ def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
     return b
 
 
-def trace_moment(b: np.ndarray, p: int) -> float:
-    """Normalized trace (1/m) Tr((BB*)^p) of a square matrix B.
+def trace_moment(b: np.ndarray, p_max: int) -> np.ndarray:
+    """Normalized traces (1/m) Tr((BB*)^p) of a square matrix B for p = 1..p_max.
 
-    Computed from singular values, which is exact and keeps the result
-    real and nonnegative.  p = 0 returns 1 (normalized trace of I).
+    All orders come from one SVD, which keeps them exact, real and nonnegative.
     """
     m, mm = b.shape
     if m != mm:
         raise ValueError(f"matrix must be square, got {m}x{mm}")
-    if p < 0:
-        raise ValueError(f"moment order must be nonnegative, got {p}")
-    if p == 0:
-        return 1.0
+    if p_max < 1:
+        raise ValueError(f"highest moment order must be positive, got {p_max}")
     sv = np.linalg.svd(b, compute_uv=False)
-    return float(np.sum(sv ** (2 * p)) / m)
+    return np.array([np.sum(sv ** (2 * p)) / m for p in range(1, p_max + 1)])

@@ -24,7 +24,7 @@ from . import limit_law, series, stats
 from .config import AspectConfig, ConfigError
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
-from .spectra import EigenSample, eigenvalues, radii_angles
+from .spectra import EigenSample, check_radii, eigenvalues
 
 SCHEMA_VERSION = 1
 # fixed analysis settings of `verify` and `series-check`
@@ -95,30 +95,32 @@ def write_table(path, columns: dict) -> None:
     _replace(path, itertools.chain([",".join(columns) + "\n"], rows))
 
 
-def sidecar_path(out_path) -> str:
-    """Where `verify` writes the timing and environment sidecar of `out_path`."""
-    return f"{out_path}.meta.json"
+def written_paths(out_path, verify: bool) -> list[str]:
+    """Every path a run writes: `out_path`, the `verify` sidecar, then the .tmp of each."""
+    final = [str(out_path), f"{out_path}.meta.json"] if verify else [str(out_path)]
+    return final + [f"{path}.tmp" for path in final]
 
 
 def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
     """The one sampling loop: each trial's product matrix and its spectrum.
 
-    Yields (trial, b, (eigenvalues, radii, angles, origin_count)) in trial
-    order; a numerical failure names the seed and the trial.
+    Yields (trial, b, eigenvalues) in trial order; a numerical failure,
+    a radius beyond the unit disk included, names the seed and the trial.
     """
     for t in range(trials):
         context = f"seed={master_seed} trial={t}"
         b = product_chain(config, master_seed, trial=t)
         eigs = eigenvalues(b, context=context)
-        yield t, b, (eigs, *radii_angles(eigs, context))
+        check_radii(eigs, context)
+        yield t, b, eigs
 
 
 def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> EigenSample:
     """Concatenated spectra of `trials` independent product-chain draws."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    spectra = [spectrum for _, _, spectrum in trial_spectra(config, trials, master_seed)]
-    return EigenSample.pool(spectra)
+    spectra = trial_spectra(config, trials, master_seed)
+    return EigenSample(np.concatenate([eigs for _, _, eigs in spectra]))
 
 
 def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
@@ -174,18 +176,17 @@ def run_verify(cfg: ExperimentConfig):
     meta = {"timestamp": time.time(), "wall_clock_s": {}, "environment": environment()}
 
     t0 = time.perf_counter()
-    spectra = []
-    moments = np.zeros((cfg.trials, MOMENT_PMAX))
-    for t, b, spectrum in trial_spectra(cfg, cfg.trials, cfg.master_seed):
-        spectra.append(spectrum)
-        moments[t] = [trace_moment(b, p) for p in range(1, MOMENT_PMAX + 1)]
-    sample = EigenSample.pool(spectra)
+    spectra, moments = [], []
+    for _, b, eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
+        spectra.append(eigs)
+        moments.append(trace_moment(b, MOMENT_PMAX))
+    sample = EigenSample(np.concatenate(spectra))
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     radial = stats.ks_radial(sample, law, cfg.delta)
     angular = stats.ks_angular(sample, cfg.delta)
-    rows = stats.moment_rows(moments, law)
+    rows = stats.moment_rows(np.array(moments), law)
     resid = series_residuals(cfg.alphas, SERIES_ORDER)
     meta["wall_clock_s"]["analysis"] = time.perf_counter() - t0
 
@@ -216,5 +217,6 @@ def run_verify(cfg: ExperimentConfig):
 def write_verify(cfg: ExperimentConfig, out_path) -> None:
     """The sidecar is written first, so a report at `out_path` means the run finished."""
     report, meta = run_verify(cfg)
-    for path, obj in ((sidecar_path(out_path), meta), (out_path, report)):
+    report_path, sidecar = written_paths(out_path, verify=True)[:2]
+    for path, obj in ((sidecar, meta), (report_path, report)):
         _replace(path, [json.dumps(obj, indent=2, sort_keys=True), "\n"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,16 +31,20 @@ class EigenSample:
     """
 
     eigenvalues: np.ndarray
-    radii: np.ndarray
-    angles: np.ndarray
-    origin_count: int
 
-    @classmethod
-    def pool(cls, spectra):
-        """Concatenate per-trial (eigenvalues, radii, angles, origin_count)."""
-        eigs, radii, angles, origins = zip(*spectra)
-        return cls(np.concatenate(eigs), np.concatenate(radii), np.concatenate(angles),
-                   sum(origins))
+    @cached_property
+    def radii(self) -> np.ndarray:
+        return np.minimum(np.abs(self.eigenvalues), 1.0)
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        angles = np.mod(np.angle(self.eigenvalues), 2 * np.pi)
+        angles[self.eigenvalues == 0] = 0.0
+        return angles
+
+    @cached_property
+    def origin_count(self) -> int:
+        return int(np.sum(self.eigenvalues == 0))
 
 
 def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
@@ -55,17 +60,11 @@ def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
         raise EigensolverError(f"eigenvalue iteration failed ({context})") from exc
 
 
-def radii_angles(eigs: np.ndarray, context: str):
-    """Radii (roundoff above 1 clipped), angles in [0, 2*pi) and origin count."""
-    radii = np.abs(eigs)
-    over = radii > 1.0 + RADIUS_SLACK
-    if np.any(over):
+def check_radii(eigs: np.ndarray, context: str) -> None:
+    """Reject a radius above 1 by more than the roundoff slack, naming `context`."""
+    radius = np.abs(eigs).max()
+    if radius > 1.0 + RADIUS_SLACK:
         raise RadiusOverflowError(
-            f"eigenvalue radius {radii[over].max():.3e} exceeds 1 beyond "
+            f"eigenvalue radius {radius:.3e} exceeds 1 beyond "
             f"roundoff slack ({context})"
         )
-    radii = np.minimum(radii, 1.0)
-    at_origin = eigs == 0
-    angles = np.mod(np.angle(eigs), 2 * np.pi)
-    angles[at_origin] = 0.0
-    return radii, angles, int(at_origin.sum())

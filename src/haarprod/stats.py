@@ -33,9 +33,9 @@ class KsReport:
 class MomentRow:
     p: int
     empirical_mean: float
-    std_error: float
+    std_error: float | None  # None for one trial
     analytic: float
-    z_score: float
+    z_score: float | None  # None for one trial or zero spread
 
 
 def dkw_threshold(sample_size: int, delta: float) -> float:
@@ -97,14 +97,13 @@ def analytic_moments(law: RadialLaw, p_max: int) -> list[float]:
 
 def moment_rows(per_trial: np.ndarray, law: RadialLaw) -> list[MomentRow]:
     """Assemble moment rows from a (trials, p_max) table of trace moments."""
-    per_trial = np.atleast_2d(per_trial)
     p_max = per_trial.shape[1]
     analytic = analytic_moments(law, p_max)
     rows = []
     for p in range(1, p_max + 1):
         emp = per_trial[:, p - 1]
         mean = float(emp.mean())
-        se = float(emp.std(ddof=1) / np.sqrt(len(emp))) if len(emp) > 1 else float("nan")
-        z = (mean - analytic[p - 1]) / se if se and se > 0 else float("nan")
-        rows.append(MomentRow(p, mean, se, analytic[p - 1], float(z)))
+        se = float(emp.std(ddof=1) / np.sqrt(len(emp))) if len(emp) > 1 else None
+        z = float((mean - analytic[p - 1]) / se) if se else None
+        rows.append(MomentRow(p, mean, se, analytic[p - 1], z))
     return rows

@@ -260,12 +260,12 @@ def test_criterion_5_unequal_alpha_convergence(unequal_alpha_run):
 def test_criterion_6_trace_moments():
     cfg2 = AspectConfig(n=400, dims=(200, 200, 200))
     mats2 = [product_chain(cfg2, 6, trial=t) for t in range(50)]
-    table2 = np.array([[trace_moment(b, 1)] for b in mats2])
+    table2 = np.array([trace_moment(b, 2) for b in mats2])
     row_p1 = moment_rows(table2, RadialLaw(cfg2.alphas))[0]
 
     cfg1 = AspectConfig(n=400, dims=(200, 200))
     mats1 = [product_chain(cfg1, 7, trial=t) for t in range(50)]
-    table1 = np.array([[trace_moment(b, p) for p in (1, 2)] for b in mats1])
+    table1 = np.array([trace_moment(b, 2) for b in mats1])
     row_p2 = moment_rows(table1, RadialLaw(cfg1.alphas))[1]
 
     ok = (

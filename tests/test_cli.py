@@ -116,6 +116,31 @@ class TestVerify:
         assert "wall_clock_s" in meta
         assert "wall_clock_s" not in report
 
+    def test_one_trial_report_is_strict_json(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
+                     "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        for row in report["moments"]:
+            assert row["std_error"] is None and row["z_score"] is None
+
+    def test_one_svd_per_trial(self, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "3",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 3
+
     def test_sidecar_records_the_environment(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
@@ -215,9 +240,18 @@ def test_bad_flag_exits_2_with_one_line(argv, capsys):
     assert_one_line_exit_2(argv, capsys, prefix="haarprod: config error: ")
 
 
+# each case: where --out points, and the directory made in the way beforehand
+UNUSABLE_OUT = {"under-a-file": ("file/out", None), "a-directory": (".", None),
+                "sidecar-a-directory": ("r.json", "r.json.meta.json"),
+                "tmp-a-directory": ("r.json", "r.json.tmp"),
+                "sidecar-tmp-a-directory": ("r.json", "r.json.meta.json.tmp")}
+
+
 @pytest.mark.parametrize("mode, where", [
     ("verify", "under-a-file"), ("verify", "a-directory"), ("verify", "sidecar-a-directory"),
+    ("verify", "tmp-a-directory"), ("verify", "sidecar-tmp-a-directory"),
     ("sample-eigs", "under-a-file"), ("sample-eigs", "a-directory"),
+    ("sample-eigs", "tmp-a-directory"),
 ])
 def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode, where):
     calls = []
@@ -227,16 +261,15 @@ def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode,
         return product_chain(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "product_chain", counted_product_chain)
-    regular = tmp_path / "file"
-    regular.write_text("")
-    out = {"under-a-file": regular / "out", "a-directory": tmp_path,
-           "sidecar-a-directory": tmp_path / "r.json"}[where]
+    (tmp_path / "file").write_text("")
+    out, in_the_way = UNUSABLE_OUT[where]
     expected = ["file"]
-    if where == "sidecar-a-directory":
-        (tmp_path / "r.json.meta.json").mkdir()
-        expected.append("r.json.meta.json")
+    if in_the_way is not None:
+        (tmp_path / in_the_way).mkdir()
+        expected.append(in_the_way)
     assert_one_line_exit_2([mode, "--n", "8", "--dims", "4,4", "--trials", "3",
-                            "--out", str(out)], capsys, prefix="haarprod: cannot write output: ")
+                            "--out", str(tmp_path / out)],
+                           capsys, prefix="haarprod: cannot write output: ")
     assert calls == []  # the destination is checked before the first trial
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     assert not tmp_path.with_name(tmp_path.name + ".tmp").exists()

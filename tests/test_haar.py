@@ -149,18 +149,18 @@ class TestProductChain:
 
 class TestTraceMoment:
     def test_identity(self):
-        for p in (0, 1, 4):
-            assert trace_moment(np.eye(5, dtype=complex), p) == pytest.approx(1.0)
+        assert trace_moment(np.eye(5, dtype=complex), 4) == pytest.approx(np.ones(4))
 
     def test_zero_matrix(self):
-        assert trace_moment(np.zeros((3, 3), dtype=complex), 1) == 0.0
+        assert np.array_equal(trace_moment(np.zeros((3, 3), dtype=complex), 2), [0.0, 0.0])
 
-    def test_p_zero_is_one(self):
+    def test_p_max_below_one_rejected(self):
         b = product_chain(AspectConfig(n=8, dims=(4, 4)), master_seed=11)
-        assert trace_moment(b, 0) == 1.0
+        with pytest.raises(ValueError):
+            trace_moment(b, 0)
 
     def test_mean_first_moment_matches_limit(self):
         # phi(aa*) = 1 / (alpha_1 alpha_2) = 1/4 at alpha = (2, 2)
         cfg = AspectConfig(n=400, dims=(200, 200, 200))
-        vals = [trace_moment(product_chain(cfg, 12, trial=t), 1) for t in range(50)]
+        vals = [trace_moment(product_chain(cfg, 12, trial=t), 1)[0] for t in range(50)]
         assert abs(np.mean(vals) - 0.25) <= 0.01

@@ -5,7 +5,7 @@ import sympy
 from haarprod import AspectConfig
 from haarprod.haar import product_chain, substream
 from haarprod.pipeline import collect_sample
-from haarprod.spectra import eigenvalues
+from haarprod.spectra import EigenSample, eigenvalues
 
 
 def sorted_by_angle_then_mod(vals):
@@ -64,6 +64,12 @@ class TestCollectSample:
         assert np.max(np.abs(recon - sam.eigenvalues)) <= 1e-8
         assert np.all(sam.angles >= 0) and np.all(sam.angles < 2 * np.pi)
         assert np.all(sam.radii <= 1.0)
+
+    def test_derived_from_eigenvalues_alone(self):
+        sam = EigenSample(np.array([0.0, 1j, -1.0 - 1e-12]))
+        assert np.array_equal(sam.radii, [0.0, 1.0, 1.0])
+        assert np.allclose(sam.angles, [0.0, np.pi / 2, np.pi], rtol=0, atol=1e-15)
+        assert sam.origin_count == 1
 
     def test_support_confinement_pilot(self):
         # support radius is 1/sqrt(2) at alpha=2, k=1; finite-size overshoot
