@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 of the CLI's artifacts for 18 fixed (config, seed) runs.
+"""sha256 of the CLI's artifacts for 19 fixed (config, seed) runs.
 
     PYTHONPATH=src python3 scripts/artifact_digests.py [--threads T]
 
@@ -49,6 +49,8 @@ RUNS = [
     ("verify-n24-12.16.14.12", "verify --n 24 --dims 12,16,14,12 --trials 2 --seed 3"),
     # one trial: the standard errors and z-scores are undefined
     ("verify-n16-8.8-one-trial", "verify --n 16 --dims 8,8 --trials 1 --seed 2"),
+    # equal alphas at k = 3: the one run whose pdf column has a non-integer power
+    ("analytic-cdf-n12-6.6.6.6", "analytic-cdf --n 12 --dims 6,6,6,6 --grid 64"),
 ]
 
 

@@ -7,12 +7,12 @@ inverting the strictly decreasing function
 
 on w in (-1, 0]:  F(t) = 1 + S^{-1}(t^{-2}) on the support
 (0, 1/sqrt(prod alpha_i)].  For equal aspect ratios the CDF has the
-closed form (alpha-1) t^{2/k} / (1 - t^{2/k}), which also yields an
-exact sampler via a single uniform variate.
+closed form (alpha-1) t^{2/k} / (1 - t^{2/k}).  The quantile is
+S(p - 1)^{-1/2}, so one uniform variate gives one exact radius.
 
-S blows up like 1/(1+w) at the left endpoint, so the inversion is
-performed in the variable v = log(1+w), where it is well conditioned
-over the whole range.
+S blows up like 1/(1+w) at the left endpoint, so S is evaluated, and the
+CDF inverted, in the variable v = log(1+w), where both are well
+conditioned over the whole range.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class RadialLaw:
         if any(a <= 1.0 for a in alphas):
             raise DegenerateLawError(
                 "the analytic law requires every alpha > 1 (all dims strictly "
-                "below n); alpha = 1 is only supported by exact-sample"
+                "below n); alpha = 1 is only supported by sample-eigs and exact-sample"
             )
         object.__setattr__(self, "alphas", alphas)
 
@@ -88,16 +88,18 @@ def s_eval(law: RadialLaw, w: float) -> float:
 
 def _log_s(law: RadialLaw, v):
     """log S(-1 + e^v) and d/dv of it, vectorized over v <= 0."""
-    a = np.asarray(law.alphas)[:, None]
     a1 = max(law.alphas)
     ev = np.exp(v)
-    w = -1.0 + ev
-    # alpha_1 + w = alpha_1 - 1 + e^v stays positive and well scaled
+    # alpha_1 + w and alpha_1 + alpha_i w as sums of nonnegative terms, so no 1
+    # cancels against e^v; one pass per factor beats a (k, len(v)) broadcast
     num = a1 - 1.0 + ev
-    den = a1 + a * w
-    logs = np.sum(np.log(a), axis=0) + law.k * np.log(num) - np.sum(np.log(den), axis=0)
-    dlogs = ev * (law.k / num - np.sum(a / den, axis=0))
-    return logs, dlogs
+    log_den = dden = 0.0
+    for a in law.alphas:
+        den = (a1 - a) + a * ev
+        log_den = log_den + np.log(den)
+        dden = dden + a / den
+    logs = np.sum(np.log(law.alphas)) + law.k * np.log(num) - log_den
+    return logs, ev * (law.k / num - dden)
 
 
 def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
@@ -120,7 +122,7 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
 
 
 def cdf_many(law: RadialLaw, t) -> np.ndarray:
-    """Radial CDF evaluated on an array of radii (generic numeric path)."""
+    """Radial CDF F(t) = 1 + S^{-1}(t^{-2}) elementwise over t >= 0, 0/1 off the support."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("radius must be nonnegative")
@@ -139,20 +141,19 @@ def cdf_many(law: RadialLaw, t) -> np.ndarray:
     return out
 
 
-def cdf(law: RadialLaw, t: float) -> float:
-    """Radial CDF F(t) = 1 + S^{-1}(t^{-2}) on the support, 0/1 outside."""
-    return float(cdf_many(law, np.asarray([t]))[0])
+def quantile(law: RadialLaw, p):
+    """Inverse radial CDF t = S(p - 1)^{-1/2}, elementwise over p in [0, 1].
 
-
-def quantile(law: RadialLaw, p: float) -> float:
-    """Inverse radial CDF; closed form t = S(p-1)^{-1/2}."""
-    if not (0.0 <= p <= 1.0):
+    Exactly 0 at p = 0 and the support radius at p = 1; a scalar p gives a scalar.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError(f"probability must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return law.support_radius
-    return 1.0 / np.sqrt(s_eval(law, p - 1.0))
+    t = np.zeros(p.shape)
+    t[p == 1.0] = law.support_radius
+    inner = (p > 0.0) & (p < 1.0)
+    t[inner] = np.exp(-0.5 * _log_s(law, np.log(p[inner]))[0])  # 1 + w = p = e^v
+    return t if t.ndim else float(t)
 
 
 def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
@@ -171,40 +172,32 @@ def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
     return (alpha - 1.0) * u / (1.0 - u)
 
 
-def pdf_radial_equal_alpha(alpha: float, k: int, t: float) -> float:
-    """Density of the radial part, 2(alpha-1)/k * t^{2/k-1} / (1-t^{2/k})^2."""
+def pdf_radial_equal_alpha(alpha: float, k: int, t):
+    """Radial density 2(alpha-1)/k * t^{2/k-1} / (1-t^{2/k})^2, elementwise over t."""
     if alpha <= 1.0:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    edge = alpha ** (-k / 2.0)
-    t = float(t)
-    if t <= 0.0 or t >= edge:
-        return 0.0
-    u = t ** (2.0 / k)
-    return 2.0 * (alpha - 1.0) / k * u / t / (1.0 - u) ** 2
-
-
-def radius_from_uniform(u, alpha: float, k: int):
-    """Map a Uniform[0,1] variate to a radius: R^2 = (u / (alpha-1+u))^k."""
-    if alpha < 1.0:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
-    u = np.asarray(u, dtype=float)
-    if alpha == 1.0:
-        return np.ones(u.shape)
-    return np.sqrt((u / (alpha - 1.0 + u)) ** k)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    inside = (t > 0.0) & (t < alpha ** (-k / 2.0))
+    u = t[inside] ** (2.0 / k)
+    out[inside] = 2.0 * (alpha - 1.0) / k * u / t[inside] / (1.0 - u) ** 2
+    return out if out.ndim else float(out)
 
 
 def exact_sample(alpha: float, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. complex draws from the equal-alpha limit law.
 
-    Radius via the single-uniform closed form, angle uniform on [0, 2*pi)
-    independently; alpha = 1 degenerates to the unit circle.
+    Radius by the quantile of one uniform variate, then angle uniform on
+    [0, 2*pi) independently; alpha = 1 degenerates to the unit circle and
+    alpha < 1 raises ValueError.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    r = radius_from_uniform(rng.random(count), alpha, k)
+    u = rng.random(count)
+    r = np.ones(count) if alpha == 1.0 else quantile(RadialLaw((alpha,) * k), u)
     theta = rng.random(count) * 2.0 * np.pi
     return r * np.exp(1j * theta)

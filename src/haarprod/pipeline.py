@@ -136,8 +136,7 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     columns = {"t": ts, "cdf": limit_law.cdf_many(law, ts)}
     if law.equal_alpha:
-        alpha = law.alphas[0]
-        columns["pdf"] = [limit_law.pdf_radial_equal_alpha(alpha, law.k, t) for t in ts]
+        columns["pdf"] = limit_law.pdf_radial_equal_alpha(law.alphas[0], law.k, ts)
     write_table(out_path, columns)
 
 

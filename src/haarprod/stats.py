@@ -60,14 +60,13 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
 
 def ks_radial(sample: EigenSample, law: RadialLaw, delta: float = 0.001) -> KsReport:
     """KS distance of pooled eigenvalue radii against the radial CDF."""
-    return ks_radii_against_law(sample.radii, law, delta, "radial")
+    return ks_radii_against_law(sample.radii, law, delta)
 
 
-def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001,
-                         label: str = "radial") -> KsReport:
+def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001) -> KsReport:
     """KS distance of a bare radius array (eigenvalue or exact draws) against the law."""
     return _ks_report(np.asarray(radii, dtype=float), lambda r: limit_law.cdf_many(law, r),
-                      delta, label)
+                      delta, "radial")
 
 
 def ks_angular(sample: EigenSample, delta: float = 0.001) -> KsReport:

@@ -10,13 +10,11 @@ from haarprod.limit_law import (
     DegenerateLawError,
     DomainError,
     RadialLaw,
-    cdf,
     cdf_equal_alpha,
     cdf_many,
     exact_sample,
     pdf_radial_equal_alpha,
     quantile,
-    radius_from_uniform,
     s_eval,
 )
 from haarprod.series import theorem_s_series
@@ -100,17 +98,17 @@ class TestCdf:
     def test_zero_at_origin_one_at_edge(self):
         for alphas in ALPHA_SETS:
             law = RadialLaw(alphas)
-            assert cdf(law, 0.0) == 0.0
-            assert cdf(law, law.support_radius) == 1.0
-            assert cdf(law, 1.0) == 1.0
+            assert cdf_many(law, 0.0) == 0.0
+            assert cdf_many(law, law.support_radius) == 1.0
+            assert cdf_many(law, 1.0) == 1.0
 
     def test_half_mass_point_single_factor(self):
         # (alpha-1) t^2 / (1 - t^2) = 1/2 at t = 1/sqrt(3) for alpha = 2
-        assert cdf(RadialLaw((2.0,)), 1 / np.sqrt(3)) == pytest.approx(0.5, abs=1e-12)
+        assert cdf_many(RadialLaw((2.0,)), 1 / np.sqrt(3)) == pytest.approx(0.5, abs=1e-12)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
-            cdf(RadialLaw((2.0,)), -0.1)
+            cdf_many(RadialLaw((2.0,)), -0.1)
 
     def test_agrees_with_bisection_oracle_unequal(self):
         # oracle: 200 plain bisection steps on S itself
@@ -128,7 +126,7 @@ class TestCdf:
             return 1 + 0.5 * (lo + hi)
 
         for t in np.linspace(0.01, law.support_radius, 60):
-            assert cdf(law, t) == pytest.approx(oracle(t), abs=1e-10)
+            assert cdf_many(law, t) == pytest.approx(oracle(t), abs=1e-10)
 
     def test_matches_closed_form_equal_alpha(self):
         for alpha in (1.5, 2.0, 3.0):
@@ -138,6 +136,22 @@ class TestCdf:
                 generic = cdf_many(law, ts)
                 closed = np.array([cdf_equal_alpha(alpha, k, t) for t in ts])
                 assert np.max(np.abs(generic - closed)) <= 1e-10
+
+    def test_relative_accuracy_near_origin_equal_alpha(self):
+        # below F = 1e-14 the _V_FLOOR cap returns 0 by design
+        for alpha in (1.5, 2.0, 3.0):
+            for k in (1, 2, 3):
+                law = RadialLaw((alpha,) * k)
+                ts = np.geomspace(1e-12, law.support_radius, 1000)
+                closed = np.array([cdf_equal_alpha(alpha, k, t) for t in ts])
+                keep = closed > 1e-14
+                rel = np.abs(cdf_many(law, ts[keep]) / closed[keep] - 1.0)
+                assert np.max(rel) <= 1e-13
+
+    def test_inverts_quantile_near_origin_unequal(self):
+        law = RadialLaw((3.0, 1.5))
+        for p in (1e-12, 1e-9, 1e-6):
+            assert abs(cdf_many(law, quantile(law, p)) / p - 1.0) <= 1e-13
 
     def test_monotone_on_support(self):
         for alphas in ALPHA_SETS:
@@ -149,7 +163,7 @@ class TestCdf:
     def test_degenerate_limit_mass_near_one(self):
         law = RadialLaw((1.0 + 1e-6,))
         assert law.support_radius == pytest.approx(1.0, abs=1e-5)
-        assert cdf(law, 0.99) <= 0.01
+        assert cdf_many(law, 0.99) <= 0.01
 
 
 class TestClosedFormEqualAlpha:
@@ -185,6 +199,13 @@ class TestPdfEqualAlpha:
         num = (cdf_equal_alpha(2.0, 2, t + h) - cdf_equal_alpha(2.0, 2, t - h)) / (2 * h)
         assert num == pytest.approx(pdf_radial_equal_alpha(2.0, 2, t), abs=1e-6)
 
+    def test_array_call_matches_scalar_calls(self):
+        ts = np.linspace(0.0, 0.4, 101)  # support radius 1.5**-1.5 = 0.544
+        one_call = pdf_radial_equal_alpha(1.5, 3, ts)
+        scalars = np.array([pdf_radial_equal_alpha(1.5, 3, t) for t in ts])
+        assert one_call[0] == 0.0
+        assert np.max(np.abs(one_call[1:] / scalars[1:] - 1.0)) <= 1e-14
+
 
 class TestQuantile:
     def test_endpoints(self):
@@ -199,6 +220,8 @@ class TestQuantile:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             quantile(RadialLaw((2.0,)), 1.5)
+        with pytest.raises(DomainError):
+            quantile(RadialLaw((2.0,)), np.array([0.5, -0.1]))
 
     def test_inverts_cdf(self):
         ps = np.linspace(0.001, 1.0, 200)
@@ -207,15 +230,27 @@ class TestQuantile:
             qs = [quantile(law, p) for p in ps]
             assert np.max(np.abs(cdf_many(law, qs) - ps)) <= 1e-12
 
+    def test_array_call_matches_equal_alpha_closed_form(self):
+        ps = np.geomspace(1e-12, 1.0, 200)
+        for alphas in [(2.0,), (1.25,), (2.0, 2.0), (1.5, 1.5, 1.5)]:
+            alpha, k = alphas[0], len(alphas)
+            closed = (ps / (alpha - 1.0 + ps)) ** (k / 2)
+            assert np.max(np.abs(quantile(RadialLaw(alphas), ps) / closed - 1.0)) <= 1e-13
+
 
 class TestExactSampler:
     def test_uniform_endpoints_map_to_support_endpoints(self):
-        assert radius_from_uniform(1.0, 2.0, 3) == pytest.approx(2 ** (-1.5), rel=1e-13)
-        assert radius_from_uniform(0.0, 2.0, 3) == 0.0
+        law = RadialLaw((2.0,) * 3)
+        assert quantile(law, 1.0) == pytest.approx(2 ** (-1.5), rel=1e-13)
+        assert quantile(law, 0.0) == 0.0
 
     def test_alpha_one_lands_on_unit_circle(self):
         z = exact_sample(1.0, 2, 1000, substream(0, 0))
         assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+    def test_alpha_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            exact_sample(0.9, 1, 10, substream(0, 0))
 
     def test_radii_match_closed_form_law(self):
         rng = substream(1, 0)
@@ -277,4 +312,4 @@ def test_cdf_equal_alpha_monotone(alpha, k, t_pair):
 @settings(max_examples=100, deadline=None)
 def test_quantile_cdf_identity_property(alphas, p):
     law = RadialLaw(tuple(alphas))
-    assert cdf(law, quantile(law, p)) == pytest.approx(p, abs=1e-11)
+    assert cdf_many(law, quantile(law, p)) == pytest.approx(p, abs=1e-11)

@@ -206,7 +206,7 @@ class TestCrossModuleMoments:
             law = RadialLaw(alphas)
             for p in range(1, 7):
                 lhs, _ = quad(
-                    lambda t: 2 * p * t ** (2 * p - 1) * (1 - limit_law.cdf(law, t)),
+                    lambda t: 2 * p * t ** (2 * p - 1) * (1 - limit_law.cdf_many(law, t)),
                     0.0,
                     law.support_radius,
                     limit=200,
@@ -223,7 +223,7 @@ class TestCrossModuleMoments:
             law = RadialLaw((alpha,) * k)
             for p in range(1, 5):
                 lhs, _ = quad(
-                    lambda t: 2 * p * t ** (2 * p - 1) * (1 - limit_law.cdf(law, t)),
+                    lambda t: 2 * p * t ** (2 * p - 1) * (1 - limit_law.cdf_many(law, t)),
                     0.0,
                     law.support_radius,
                     limit=200,
