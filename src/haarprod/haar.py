@@ -1,9 +1,11 @@
-"""Haar unitary sampling, rectangular truncation, and product chains.
+"""Haar unitary sampling and products of their rectangular corners.
 
 Haar matrices are generated by the Ginibre + QR construction with the
-diagonal phase correction; raw QR output is not Haar distributed.  All
-randomness flows through named substreams of a single master seed so
-that trials are reproducible independently of evaluation order.
+diagonal phase correction; raw QR output is not Haar distributed.  A
+corner block is drawn as the block it keeps: a thin QR of the kept
+columns replaces truncating a full n x n unitary.  All randomness flows
+through named substreams of a single master seed so that trials are
+reproducible independently of evaluation order.
 """
 
 from __future__ import annotations
@@ -29,30 +31,23 @@ def sample_ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an n x n Haar unitary matrix.
+def haar_unitary(n: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """First `cols` columns (all n by default) of an n x n Haar unitary.
 
-    QR of a Ginibre matrix, then each column of Q is multiplied by the
-    phase of the corresponding diagonal entry of R.  This makes the
-    factorization the unique one with positive-diagonal R, which is the
-    construction that is provably Haar.  A zero pivot (probability zero)
-    keeps phase 1, so Q stays unitary.
+    QR of the first `cols` columns of an n x n Ginibre draw, each column of
+    Q multiplied by the phase of its diagonal entry of R: the unique
+    factorization with positive-diagonal R, which is provably Haar.  Column
+    j of Q depends on Ginibre columns 1..j only, so this is the full draw's
+    column block (up to roundoff), and the random stream does not depend on
+    `cols`.  A zero pivot (probability zero) keeps phase 1, so Q stays
+    orthonormal.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    q, r = np.linalg.qr(sample_ginibre(n, n, rng))
+    cols = n if cols is None else cols
+    if not 1 <= cols <= n:
+        raise ValueError(f"need 1 <= cols <= n, got cols={cols}, n={n}")
+    q, r = np.linalg.qr(sample_ginibre(n, n, rng)[:, :cols])
     d = np.diagonal(r)
     return q * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
-
-
-def truncate_block(u: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Left-uppermost p x q block of u."""
-    rows, cols = u.shape
-    if p > rows or q > cols:
-        raise ValueError(f"block {p}x{q} exceeds matrix dimensions {rows}x{cols}")
-    if p < 1 or q < 1:
-        raise ValueError(f"block dimensions must be positive, got {p}x{q}")
-    return u[:p, :q].copy()
 
 
 def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
@@ -63,9 +58,8 @@ def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
     uses substream (trial, i) of the master seed.
     """
     b = None
-    for i in range(config.k):
-        u = haar_unitary(config.n, substream(master_seed, trial, i))
-        a = truncate_block(u, config.dims[i], config.dims[i + 1])
+    for i, (rows, cols) in enumerate(zip(config.dims, config.dims[1:])):
+        a = haar_unitary(config.n, substream(master_seed, trial, i), cols)[:rows]
         b = a if b is None else b @ a
     return b
 

@@ -124,8 +124,8 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
 def cdf_many(law: RadialLaw, t) -> np.ndarray:
     """Radial CDF F(t) = 1 + S^{-1}(t^{-2}) elementwise over t >= 0, 0/1 off the support."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("radius must be nonnegative")
+    if not np.all(t >= 0):  # also rejects NaN
+        raise DomainError("radius must be nonnegative, not NaN")
     out = np.zeros(t.shape)
     out[t >= law.support_radius] = 1.0
     interior = (t > 0) & (t < law.support_radius)

@@ -89,7 +89,10 @@ def _ks_report(values: np.ndarray, model_cdf, delta: float, label: str) -> KsRep
 
 
 def analytic_moments(law: RadialLaw, p_max: int) -> list[float]:
-    """Moments of the squared radius, from the closed-form S-transform."""
+    """Limit trace moments (1/m) Tr((BB*)^p), p = 1..p_max, from the closed-form S.
+
+    These are moments of the squared singular values, not of the squared radius.
+    """
     s = series.theorem_s_series(law.alphas, order=max(p_max, 2))
     return series.moments_from_s(s)[:p_max]
 

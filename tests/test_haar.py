@@ -9,7 +9,6 @@ from haarprod.haar import (
     sample_ginibre,
     substream,
     trace_moment,
-    truncate_block,
 )
 
 
@@ -74,8 +73,28 @@ class TestHaarUnitary:
             return g
 
         monkeypatch.setattr(haar, "sample_ginibre", ginibre_with_zero_column)
-        u = haar_unitary(6, substream(4, 0))
-        assert np.max(np.abs(u @ u.conj().T - np.eye(6))) <= 1e-12
+        for cols in (6, 3):
+            u = haar_unitary(6, substream(4, 0), cols)
+            assert u.shape == (6, cols)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(cols))) <= 1e-12
+
+    @pytest.mark.parametrize("n, cols", [(1, 1), (5, 2), (64, 30), (100, 50), (257, 128),
+                                         (600, 300), (600, 599)])
+    def test_kept_columns_match_full_draw(self, n, cols):
+        u = haar_unitary(n, substream(13, n), cols)
+        full = haar_unitary(n, substream(13, n))
+        assert u.shape == (n, cols)
+        assert np.max(np.abs(u - full[:, :cols])) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    def test_all_columns_equal_default(self, n):
+        assert np.array_equal(haar_unitary(n, substream(14, n), n),
+                              haar_unitary(n, substream(14, n)))
+
+    @pytest.mark.parametrize("cols", [0, 7])
+    def test_cols_out_of_range_rejected(self, cols):
+        with pytest.raises(ValueError):
+            haar_unitary(6, substream(15, 0), cols)
 
     def test_first_entry_second_moment(self):
         # E|U_11|^2 = 1/n for the Haar measure
@@ -96,30 +115,11 @@ class TestHaarUnitary:
         assert ks_2samp(tr_u.imag, tr_vu.imag).pvalue > 0.001
 
 
-class TestTruncateBlock:
-    def test_full_block_is_identity_operation(self):
-        u = haar_unitary(5, substream(6, 0))
-        assert np.array_equal(truncate_block(u, 5, 5), u)
-
-    def test_single_entry(self):
-        u = haar_unitary(5, substream(6, 1))
-        assert truncate_block(u, 1, 1)[0, 0] == u[0, 0]
-
-    def test_truncation_is_contraction(self):
-        u = haar_unitary(6, substream(6, 2))
-        block = truncate_block(u, 3, 2)
-        assert np.linalg.svd(block, compute_uv=False).max() <= 1 + 1e-12
-
-    def test_oversize_block_rejected(self):
-        u = haar_unitary(4, substream(6, 3))
-        with pytest.raises(ValueError):
-            truncate_block(u, 5, 4)
-
-
 class TestProductChain:
     def test_untruncated_chain_is_haar_unitary(self):
         cfg = AspectConfig(n=16, dims=(16, 16))
         b = product_chain(cfg, master_seed=7)
+        assert np.array_equal(b, haar_unitary(16, substream(7, 0, 0)))
         eigs = np.linalg.eigvals(b)
         assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-10
 

@@ -107,8 +107,9 @@ class TestCdf:
         assert cdf_many(RadialLaw((2.0,)), 1 / np.sqrt(3)) == pytest.approx(0.5, abs=1e-12)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(DomainError):
-            cdf_many(RadialLaw((2.0,)), -0.1)
+        for t in (-0.1, np.nan, [0.1, np.nan, 0.2]):
+            with pytest.raises(DomainError):
+                cdf_many(RadialLaw((2.0,)), t)
 
     def test_agrees_with_bisection_oracle_unequal(self):
         # oracle: 200 plain bisection steps on S itself

@@ -58,6 +58,10 @@ class TestKsRadial:
         assert rep.passed
         assert rep.threshold == dkw_threshold(10**6, 0.001)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(limit_law.DomainError):
+            ks_radii_against_law(np.array([0.1, np.nan, 0.2]), RadialLaw((2.0, 2.0)))
+
     def test_eigen_sample_small(self):
         cfg = AspectConfig(n=240, dims=(120, 120))
         sam = collect_sample(cfg, trials=5, master_seed=2)
