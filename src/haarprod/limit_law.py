@@ -28,6 +28,9 @@ from .config import ConfigError
 # there is far below 1e-10 for every parameter set of interest
 _W_FLOOR = 1e-15
 _V_FLOOR = np.log(_W_FLOOR)  # about -34.5
+# the inversion schedule of _invert_many: 1 + 12 + 8 = 21 passes of _log_s per cdf_many
+_BISECTION_STEPS = 12
+_NEWTON_STEPS = 8
 
 
 class DomainError(ValueError):
@@ -77,15 +80,6 @@ class RadialLaw:
         return 1.0 / np.sqrt(self.alpha_product)
 
 
-def s_eval(law: RadialLaw, w: float) -> float:
-    """Evaluate S(w) for w in (-1, 0]; strictly decreasing, S(0)=prod(alpha)."""
-    if not (-1.0 < w <= 0.0):
-        raise DomainError(f"w must lie in (-1, 0], got {w}")
-    a = np.asarray(law.alphas)
-    a1 = max(law.alphas)
-    return float(np.prod(a * (a1 + w) / (a1 + a * w)))
-
-
 def _log_s(law: RadialLaw, v):
     """log S(-1 + e^v) and d/dv of it, vectorized over v <= 0."""
     a1 = max(law.alphas)
@@ -103,21 +97,26 @@ def _log_s(law: RadialLaw, v):
 
 
 def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
-    """Vectorized solve of S(-1+e^v) = s for v in [_V_FLOOR, 0]."""
+    """Vectorized solve of S(-1+e^v) = s for v in [_V_FLOOR, 0].
+
+    Bisection narrows each point's bracket to width -_V_FLOOR / 2**12 (about
+    0.008); Newton steps from its midpoint then double the correct digits per
+    step, each step clipped to that point's own bracket.
+    """
     target = np.log(s)
     lo = np.full(s.shape, _V_FLOOR)
     hi = np.zeros(s.shape)
-    for _ in range(70):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         f, _ = _log_s(law, mid)
         too_big = f > target  # S decreasing in w, hence in v
         lo = np.where(too_big, mid, lo)
         hi = np.where(too_big, hi, mid)
     v = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish, stays inside the bracket by construction
+    for _ in range(_NEWTON_STEPS):
         f, df = _log_s(law, v)
         step = np.where(df != 0.0, (f - target) / df, 0.0)
-        v = np.clip(v - step, _V_FLOOR, 0.0)
+        v = np.clip(v - step, lo, hi)
     return v
 
 
@@ -154,22 +153,6 @@ def quantile(law: RadialLaw, p):
     inner = (p > 0.0) & (p < 1.0)
     t[inner] = np.exp(-0.5 * _log_s(law, np.log(p[inner]))[0])  # 1 + w = p = e^v
     return t if t.ndim else float(t)
-
-
-def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
-    """Closed-form radial CDF (alpha-1) t^{2/k} / (1 - t^{2/k}) on the support."""
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
-    edge = alpha ** (-k / 2.0)
-    t = float(t)
-    if t <= 0.0:
-        return 0.0
-    if t >= edge:
-        return 1.0
-    u = t ** (2.0 / k)
-    return (alpha - 1.0) * u / (1.0 - u)
 
 
 def pdf_radial_equal_alpha(alpha: float, k: int, t):

@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 # fixed analysis settings of `verify` and `series-check`
 SERIES_ORDER = 16
 MOMENT_PMAX = 3
+# rows per `%` formatting call in write_table
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,22 @@ def write_table(path, columns: dict) -> None:
     """Comma-separated UTF-8 table of named 1-D columns of equal length.
 
     The header is the column names; integer columns are written as integers,
-    all others as reals at 17 significant digits.  Rows are formatted as they
-    are written, straight from the arrays; columns of unequal length raise
-    ValueError and leave `path` as it was.
+    all others as reals at 17 significant digits.  Rows are formatted in
+    blocks of _BLOCK_ROWS as they are written, from Python numbers; columns
+    of unequal length raise ValueError and leave `path` as it was.
     """
     cols = [np.asarray(c) for c in columns.values()]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cols]}")
     row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
-    rows = map(row_format.__mod__, zip(*cols, strict=True))
-    _replace(path, itertools.chain([",".join(columns) + "\n"], rows))
+
+    def blocks():
+        yield ",".join(columns) + "\n"
+        for start in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS):
+            rows = list(zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in cols)))
+            yield (row_format * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+    _replace(path, blocks())
 
 
 def written_paths(out_path, verify: bool) -> list[str]:

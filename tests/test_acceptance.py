@@ -22,10 +22,11 @@ from scipy.stats import unitary_group
 
 from haarprod import AspectConfig
 from haarprod.haar import haar_unitary, product_chain, substream, trace_moment
-from haarprod.limit_law import RadialLaw, cdf_equal_alpha, cdf_many, exact_sample, quantile
+from haarprod.limit_law import RadialLaw, cdf_many, exact_sample, quantile
 from haarprod.pipeline import collect_sample
 from haarprod.series import comp_inverse, identity_series, scaled_s_check, series, series_compose, theorem_s_series
 from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_rows
+from oracles import cdf_equal_alpha
 
 
 # Confidence parameter of the finite-n checks of criteria 4 and 7.

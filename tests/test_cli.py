@@ -372,10 +372,24 @@ def test_write_table_bytes(tmp_path):
     assert [float(row[1]) for row in rows] == reals
 
 
+def test_write_table_matches_row_by_row_format_across_blocks(tmp_path):
+    # 2 full blocks of 1024 rows and a partial one, against one % per row
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)
+    cols = {"i": np.arange(2500), "x": x, "y": np.linspace(0.0, 1.0, 2500)}
+    p = tmp_path / "t.csv"
+    pipeline.write_table(p, cols)
+    rows = "".join("%d,%.17g,%.17g\n" % row for row in zip(*cols.values()))
+    assert p.read_text(encoding="utf-8") == "i,x,y\n" + rows
+    pipeline.write_table(p, {"i": np.arange(0), "x": np.zeros(0)})
+    assert p.read_text(encoding="utf-8") == "i,x\n"
+
+
 def test_write_table_rejects_unequal_columns(tmp_path):
     p = tmp_path / "t.csv"
-    with pytest.raises(ValueError):
-        pipeline.write_table(p, {"i": np.arange(3), "x": [0.5]})
+    for columns in ({"i": np.arange(3), "x": [0.5]}, {"i": np.arange(0), "x": [0.5]}):
+        with pytest.raises(ValueError):
+            pipeline.write_table(p, columns)
     assert list(tmp_path.iterdir()) == []
 
 

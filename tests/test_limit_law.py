@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from haarprod import limit_law
 from haarprod.haar import substream
 from haarprod.limit_law import (
     DegenerateLawError,
     DomainError,
     RadialLaw,
-    cdf_equal_alpha,
     cdf_many,
     exact_sample,
     pdf_radial_equal_alpha,
     quantile,
-    s_eval,
 )
 from haarprod.series import theorem_s_series
+from oracles import cdf_equal_alpha, s_eval
 
 ALPHA_SETS = [(2.0,), (2.0, 2.0), (3.0, 1.5), (1.25, 1.25, 1.25), (3.0, 2.0, 1.5, 1.25)]
 
@@ -165,6 +165,36 @@ class TestCdf:
         law = RadialLaw((1.0 + 1e-6,))
         assert law.support_radius == pytest.approx(1.0, abs=1e-5)
         assert cdf_many(law, 0.99) <= 0.01
+
+    def test_inversion_schedule_pass_count(self, monkeypatch):
+        # 1 pass for the cap, 12 bisection steps and 8 Newton steps
+        calls = []
+        log_s = limit_law._log_s
+
+        def counted(law, v):
+            calls.append(v)
+            return log_s(law, v)
+
+        monkeypatch.setattr(limit_law, "_log_s", counted)
+        law = RadialLaw((2.0, 1.5))
+        cdf_many(law, np.linspace(0.0, law.support_radius, 1000))
+        assert len(calls) <= 21
+
+    def test_log_s_residual_of_inversion(self):
+        for alphas in [(1.0 + 1e-6,), (1.01,), (2.0, 1.5), (3.0, 3.0, 3.0), (1000.0, 2.0),
+                       (50.0, 1.001, 3.0)]:
+            law = RadialLaw(alphas)
+            ts = np.geomspace(1e-9, law.support_radius, 100_000)
+            f = cdf_many(law, ts)
+            inner = (f > 0.0) & (f < 1.0)
+            log_s, _ = limit_law._log_s(law, np.log(f[inner]))  # v = log(1 + w) = log F
+            assert np.max(np.abs(log_s - np.log(ts[inner] ** -2.0))) <= 3e-14, alphas
+
+    def test_monotone_on_law_tables_grid(self):
+        law = RadialLaw((2.0, 1.5))
+        vals = cdf_many(law, np.linspace(0.0, law.support_radius, 100_000))
+        assert vals[0] == 0.0 and vals[-1] == 1.0
+        assert np.all(np.diff(vals) >= 0.0)
 
 
 class TestClosedFormEqualAlpha:

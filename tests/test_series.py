@@ -25,6 +25,7 @@ from haarprod.series import (
     s_transform_of,
     theorem_s_series,
 )
+from oracles import s_eval
 
 
 def sympy_taylor(expr, z, order):
@@ -212,7 +213,7 @@ class TestCrossModuleMoments:
                     limit=200,
                 )
                 rhs, _ = quad(
-                    lambda w: limit_law.s_eval(law, w) ** -p, -1 + 1e-12, 0, limit=200
+                    lambda w: s_eval(law, w) ** -p, -1 + 1e-12, 0, limit=200
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-6)
 

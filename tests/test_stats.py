@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, limit_law
 from haarprod.haar import product_chain, substream, trace_moment
-from haarprod.limit_law import RadialLaw, cdf_equal_alpha, exact_sample, quantile
+from haarprod.limit_law import RadialLaw, exact_sample, quantile
 from haarprod.pipeline import collect_sample
 from haarprod.spectra import EigenSample
 from haarprod.stats import (
