@@ -2,8 +2,9 @@
 
 Haar matrices are generated by the Ginibre + QR construction with the
 diagonal phase correction; raw QR output is not Haar distributed.  A
-corner block is drawn as the block it keeps: a thin QR of the kept
-columns replaces truncating a full n x n unitary.  All randomness flows
+corner block is drawn along its short side: a thin QR of min(rows, cols)
+columns, factored in place, replaces truncating a full n x n unitary,
+and a wide block is the transpose of a tall one.  All randomness flows
 through named substreams of a single master seed so that trials are
 reproducible independently of evaluation order.
 """
@@ -11,6 +12,7 @@ reproducible independently of evaluation order.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -23,12 +25,18 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. standard complex normal matrix (variance 1/2 per component)."""
+    """i.i.d. standard complex normal matrix (variance 1/2 per component).
+
+    Real parts are drawn first, then imaginary parts, each filled into one
+    complex array: no complex temporaries.
+    """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    g = np.empty((rows, cols), dtype=complex)
+    g.real = rng.standard_normal((rows, cols))
+    g.imag = rng.standard_normal((rows, cols))
+    g /= np.sqrt(2.0)
+    return g
 
 
 def haar_unitary(n: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
@@ -39,15 +47,19 @@ def haar_unitary(n: int, rng: np.random.Generator, cols: int | None = None) -> n
     factorization with positive-diagonal R, which is provably Haar.  Column
     j of Q depends on Ginibre columns 1..j only, so this is the full draw's
     column block (up to roundoff), and the random stream does not depend on
-    `cols`.  A zero pivot (probability zero) keeps phase 1, so Q stays
+    `cols`.  The kept columns are copied once, in Fortran order, and LAPACK
+    factors that copy and forms Q in place; the phase is applied in place
+    too.  A zero pivot (probability zero) keeps phase 1, so Q stays
     orthonormal.
     """
     cols = n if cols is None else cols
     if not 1 <= cols <= n:
         raise ValueError(f"need 1 <= cols <= n, got cols={cols}, n={n}")
-    q, r = np.linalg.qr(sample_ginibre(n, n, rng)[:, :cols])
+    kept = np.asfortranarray(sample_ginibre(n, n, rng)[:, :cols])
+    q, r = scipy.linalg.qr(kept, mode="economic", overwrite_a=True, check_finite=False)
     d = np.diagonal(r)
-    return q * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
+    q *= np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
+    return q
 
 
 def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
@@ -55,11 +67,16 @@ def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
 
     Matrix i is the n_i x n_{i+1} corner block of its own Haar draw; the
     result is square of size n_1 and a contraction.  Each of the k draws
-    uses substream (trial, i) of the master seed.
+    uses substream (trial, i) of the master seed and keeps only
+    c = min(n_i, n_{i+1}) columns.  A tall or square block is the first
+    n_i rows of those columns.  A wide block is the transpose of the first
+    n_{i+1} rows: the transpose of a Haar unitary is Haar, so its corner
+    has the same law.
     """
     b = None
     for i, (rows, cols) in enumerate(zip(config.dims, config.dims[1:])):
-        a = haar_unitary(config.n, substream(master_seed, trial, i), cols)[:rows]
+        q = haar_unitary(config.n, substream(master_seed, trial, i), min(rows, cols))
+        a = q[:rows] if rows >= cols else q[:cols].T
         b = a if b is None else b @ a
     return b
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass
 
@@ -56,12 +57,20 @@ class ExperimentConfig(AspectConfig):
 
 
 def environment() -> dict:
-    """What a report's last digits depend on: library builds and BLAS threads."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What a report's last digits depend on: library builds and BLAS threads.
+
+    numpy and scipy may each bundle their own BLAS: `blas` is numpy's (the
+    product matmul and the SVD), `scipy_blas` is scipy's (the QR and eigvals).
+    """
+    def blas(show_config):
+        build = show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": build.get("name"), "version": build.get("version")}
+
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": blas(np.show_config),
+        "scipy_blas": blas(scipy.show_config),
         "threads_env": {k: os.environ.get(k) for k in
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "cpu_count": os.cpu_count(),
@@ -178,8 +187,9 @@ def run_verify(cfg: ExperimentConfig):
     """Full pipeline: sample, compare, and assemble a report dict.
 
     Returns (report, meta); the report is deterministic in (config, seed)
-    at one BLAS thread count, the meta dict holds wall-clock per phase and
-    the environment those digits depend on.
+    at one BLAS thread count, the meta dict holds wall-clock per phase, the
+    process's peak resident set size and the environment those digits
+    depend on.
     """
     law = RadialLaw(cfg.alphas)  # rejects alpha = 1 before anything is sampled
     meta = {"timestamp": time.time(), "wall_clock_s": {}, "environment": environment()}
@@ -198,6 +208,8 @@ def run_verify(cfg: ExperimentConfig):
     rows = stats.moment_rows(np.array(moments), law)
     resid = series_residuals(cfg.alphas, SERIES_ORDER)
     meta["wall_clock_s"]["analysis"] = time.perf_counter() - t0
+    # ru_maxrss is in kilobytes on Linux
+    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def ks_dict(r):
         return {

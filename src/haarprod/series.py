@@ -2,10 +2,10 @@
 
 A series is a 1-D float array of its coefficients c_0..c_N, indexed by
 power and truncated at an order N every caller names.  No function writes
-into an argument.  Everything needed to reproduce the moment series /
-S-transform pipeline is here: ring operations, composition, compositional
-inverse by Newton iteration, and the specific rational building blocks of
-the product law.
+into an argument.  Everything needed to go from the product law's
+S-transform to its moments is here: ring operations, composition,
+compositional inverse by Newton iteration, and the specific rational
+building blocks of the product law.
 """
 
 from __future__ import annotations
@@ -79,21 +79,6 @@ def comp_inverse(f: np.ndarray) -> np.ndarray:
         resid = series_compose(f, g) - z
         g = g - series_div(resid, series_compose(fp, g))
     return g
-
-
-def m_from_moments(moments, order: int) -> np.ndarray:
-    """Moment generating series sum_p m_p z^p (zero constant term)."""
-    return series([0.0] + list(moments), order)
-
-
-def s_transform_of(m: np.ndarray) -> np.ndarray:
-    """S(z) = (1+z)/z * M^{-1}(z), as a series of order N-1."""
-    if m[0] != 0.0:
-        raise SeriesError("moment series must have zero constant term")
-    if m[1] == 0.0:
-        raise SeriesError("S-transform requires a nonzero first moment")
-    q = comp_inverse(m)
-    return q[:-1] + q[1:]
 
 
 def moments_from_s(s: np.ndarray) -> list[float]:

@@ -55,7 +55,7 @@ def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise ValueError("matrix has non-finite entries")
     try:
-        return scipy.linalg.eigvals(b)
+        return scipy.linalg.eigvals(b, check_finite=False)  # checked just above
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigensolverError(f"eigenvalue iteration failed ({context})") from exc
 

@@ -3,11 +3,14 @@
 The tests check `haarprod.limit_law` against these: S in its plain product
 form, evaluated in w with no change of variable, and the equal-alpha
 closed-form radial CDF.  Neither goes through `_log_s` or the inversion.
+The moments -> S direction of the series algebra (`m_from_moments`,
+`s_transform_of`) lives here too: the package only goes from S to moments.
 """
 
 import numpy as np
 
 from haarprod.limit_law import DomainError, RadialLaw
+from haarprod.series import SeriesError, comp_inverse, series
 
 
 def s_eval(law: RadialLaw, w: float) -> float:
@@ -33,3 +36,18 @@ def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
         return 1.0
     u = t ** (2.0 / k)
     return (alpha - 1.0) * u / (1.0 - u)
+
+
+def m_from_moments(moments, order: int) -> np.ndarray:
+    """Moment generating series sum_p m_p z^p (zero constant term)."""
+    return series([0.0] + list(moments), order)
+
+
+def s_transform_of(m: np.ndarray) -> np.ndarray:
+    """S(z) = (1+z)/z * M^{-1}(z), as a series of order N-1."""
+    if m[0] != 0.0:
+        raise SeriesError("moment series must have zero constant term")
+    if m[1] == 0.0:
+        raise SeriesError("S-transform requires a nonzero first moment")
+    q = comp_inverse(m)
+    return q[:-1] + q[1:]

@@ -145,13 +145,20 @@ class TestVerify:
         out = tmp_path / "r.json"
         assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
                      "--out", str(out)]) == 0
-        env = json.loads((tmp_path / "r.json.meta.json").read_text())["environment"]
-        assert set(env) == {"numpy", "scipy", "blas", "threads_env", "cpu_count"}
+        meta = json.loads((tmp_path / "r.json.meta.json").read_text())
+        env = meta["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "scipy_blas", "threads_env",
+                            "cpu_count"}
         assert set(env["blas"]) == {"name", "version"}
+        assert set(env["scipy_blas"]) == {"name", "version"}
         assert set(env["threads_env"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["cpu_count"] >= 1
-        assert "environment" not in json.loads(out.read_text())
+        # a process that has imported numpy and scipy holds tens of MB
+        assert 10 < meta["peak_rss_mb"] < 1e5
+        report = json.loads(out.read_text())
+        assert "environment" not in report
+        assert "peak_rss_mb" not in report
 
 
 class TestConfigHandling:

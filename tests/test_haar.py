@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -47,6 +49,15 @@ class TestGinibre:
         assert abs(g.real.mean()) <= bound
         assert abs(g.imag.mean()) <= bound
         assert abs(np.mean(np.abs(g) ** 2) - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (7, 7), (5, 3), (64, 64), (300, 300),
+                                            (300, 200)])
+    def test_stream_matches_componentwise_expression(self, rows, cols):
+        rng = substream(16, rows, cols)
+        re = rng.standard_normal((rows, cols))
+        im = rng.standard_normal((rows, cols))
+        g = sample_ginibre(rows, cols, substream(16, rows, cols))
+        assert np.array_equal(g, (re + 1j * im) / np.sqrt(2.0))
 
 
 class TestHaarUnitary:
@@ -133,6 +144,42 @@ class TestProductChain:
             cfg = AspectConfig(n=8, dims=dims)
             b = product_chain(cfg, master_seed=9)
             assert np.linalg.svd(b, compute_uv=False).max() <= 1 + 1e-10
+
+    def test_wide_factor_is_transposed_short_side_draw(self):
+        # factor 0 is 4 x 8 (wide): the transpose of the first 8 rows of 4 kept columns
+        for seed in (0, 17):
+            b = product_chain(AspectConfig(n=8, dims=(4, 8, 4)), master_seed=seed)
+            expected = (haar_unitary(8, substream(seed, 0, 0), 4).T
+                        @ haar_unitary(8, substream(seed, 0, 1), 4))
+            assert np.array_equal(b, expected)
+
+    @pytest.mark.parametrize("n, dims", [(8, (4, 6, 4)), (8, (3, 5, 6, 3)), (8, (4, 4, 4)),
+                                         (60, (30, 40, 50, 30)), (16, (16, 16))])
+    def test_each_factor_draws_its_short_side(self, monkeypatch, n, dims):
+        requested = []
+
+        def spy(n, rng, cols=None):
+            requested.append(cols)
+            return haar_unitary(n, rng, cols)
+
+        monkeypatch.setattr(haar, "haar_unitary", spy)
+        b = product_chain(AspectConfig(n=n, dims=dims), master_seed=18)
+        assert requested == [min(r, c) for r, c in zip(dims, dims[1:])]
+        assert b.shape == (dims[0], dims[0])
+
+    def test_peak_traced_memory(self):
+        # Measured 11.5 MB: the 600 x 600 complex draw (5.8 MB), one real half
+        # of it in flight (2.9 MB) and factor 0's kept 600 x 300 block (2.9 MB).
+        # Complex temporaries and copies inside the QR put it at 16.9 MB.
+        cfg = AspectConfig(n=600, dims=(300, 400, 300))
+        product_chain(cfg, master_seed=19)  # first calls may allocate caches
+        tracemalloc.start()
+        try:
+            product_chain(cfg, master_seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13e6
 
     def test_deterministic_in_seed(self):
         cfg = AspectConfig(n=8, dims=(4, 6, 4))

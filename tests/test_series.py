@@ -12,7 +12,6 @@ from haarprod.series import (
     SeriesError,
     comp_inverse,
     identity_series,
-    m_from_moments,
     moments_from_s,
     product_s_check,
     rational_series,
@@ -22,10 +21,9 @@ from haarprod.series import (
     series_div,
     series_mul,
     s_block,
-    s_transform_of,
     theorem_s_series,
 )
-from oracles import s_eval
+from oracles import m_from_moments, s_eval, s_transform_of
 
 
 def sympy_taylor(expr, z, order):
