@@ -49,7 +49,7 @@ RUNS = [
     ("verify-n24-12.16.14.12", "verify --n 24 --dims 12,16,14,12 --trials 2 --seed 3"),
     # one trial: the standard errors and z-scores are undefined
     ("verify-n16-8.8-one-trial", "verify --n 16 --dims 8,8 --trials 1 --seed 2"),
-    # equal alphas at k = 3: the one run whose pdf column has a non-integer power
+    # equal alphas at k = 3: the one pdf column from a multi-factor inversion (~t^(-1/3) at 0)
     ("analytic-cdf-n12-6.6.6.6", "analytic-cdf --n 12 --dims 6,6,6,6 --grid 64"),
 ]
 

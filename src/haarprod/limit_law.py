@@ -6,13 +6,13 @@ inverting the strictly decreasing function
     S(w) = prod_i  alpha_i * (alpha_1 + w) / (alpha_1 + alpha_i * w)
 
 on w in (-1, 0]:  F(t) = 1 + S^{-1}(t^{-2}) on the support
-(0, 1/sqrt(prod alpha_i)].  For equal aspect ratios the CDF has the
-closed form (alpha-1) t^{2/k} / (1 - t^{2/k}).  The quantile is
-S(p - 1)^{-1/2}, so one uniform variate gives one exact radius.
+(0, 1/sqrt(prod alpha_i)].  The quantile is S(p - 1)^{-1/2}, so one
+uniform variate gives one exact radius.
 
 S blows up like 1/(1+w) at the left endpoint, so S is evaluated, and the
-CDF inverted, in the variable v = log(1+w), where both are well
-conditioned over the whole range.
+CDF inverted, in the variable v = log(1+w) = log F, where both are well
+conditioned over the whole range.  The density follows from the same
+inversion: log S(v) = -2 log t gives f(t) = -2F / (t d log S/dv).
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ class DomainError(ValueError):
 
 
 class DegenerateLawError(ConfigError):
-    """Analytic law requested with some alpha <= 1 (some dim not below n)."""
+    """Analytic law requested with some alpha <= 1 (some dim not below n) or not finite."""
 
 
 @dataclass(frozen=True)
 class RadialLaw:
     """Radial part of the limit law for aspect ratios alpha_1..alpha_k.
 
-    Every alpha must exceed 1 (DegenerateLawError otherwise).  The alphas keep
+    Every alpha must be finite and exceed 1 (DegenerateLawError otherwise).  The alphas keep
     the order given: the law depends on them only through alpha_1 = max(alphas)
     and products symmetric in all of them.
     """
@@ -56,10 +56,10 @@ class RadialLaw:
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) < 1:
             raise ValueError("at least one aspect ratio required")
-        if any(a <= 1.0 for a in alphas):
+        if not all(1.0 < a < np.inf for a in alphas):  # also rejects NaN
             raise DegenerateLawError(
-                "the analytic law requires every alpha > 1 (all dims strictly "
-                "below n); alpha = 1 is only supported by sample-eigs and exact-sample"
+                "the analytic law requires every alpha finite and > 1 (all dims strictly below n), "
+                f"got {alphas}; alpha = 1 is only supported by sample-eigs and exact-sample"
             )
         object.__setattr__(self, "alphas", alphas)
 
@@ -140,6 +140,20 @@ def cdf_many(law: RadialLaw, t) -> np.ndarray:
     return out
 
 
+def pdf_many(law: RadialLaw, t) -> np.ndarray:
+    """Radial density f(t) = -2F / (t d log S/dv) at v = log F, elementwise over t >= 0.
+
+    One `_log_s` pass after `cdf_many`; exactly 0 wherever F is 0 or 1.
+    """
+    t = np.asarray(t, dtype=float)
+    f = cdf_many(law, t)
+    out = np.zeros(t.shape)
+    inner = (f > 0.0) & (f < 1.0)
+    _, dlogs = _log_s(law, np.log(f[inner]))
+    out[inner] = -2.0 * f[inner] / (t[inner] * dlogs)
+    return out
+
+
 def quantile(law: RadialLaw, p):
     """Inverse radial CDF t = S(p - 1)^{-1/2}, elementwise over p in [0, 1].
 
@@ -155,26 +169,12 @@ def quantile(law: RadialLaw, p):
     return t if t.ndim else float(t)
 
 
-def pdf_radial_equal_alpha(alpha: float, k: int, t):
-    """Radial density 2(alpha-1)/k * t^{2/k-1} / (1-t^{2/k})^2, elementwise over t."""
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    inside = (t > 0.0) & (t < alpha ** (-k / 2.0))
-    u = t[inside] ** (2.0 / k)
-    out[inside] = 2.0 * (alpha - 1.0) / k * u / t[inside] / (1.0 - u) ** 2
-    return out if out.ndim else float(out)
-
-
 def exact_sample(alpha: float, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. complex draws from the equal-alpha limit law.
 
     Radius by the quantile of one uniform variate, then angle uniform on
-    [0, 2*pi) independently; alpha = 1 degenerates to the unit circle and
-    alpha < 1 raises ValueError.
+    [0, 2*pi) independently; alpha = 1 degenerates to the unit circle, and
+    alpha < 1 or not finite raises DegenerateLawError (a ValueError).
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")

@@ -123,7 +123,7 @@ def written_paths(out_path, verify: bool) -> list[str]:
 def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
     """The one sampling loop: each trial's product matrix and its spectrum.
 
-    Yields (trial, b, eigenvalues) in trial order; a numerical failure,
+    Yields (b, eigenvalues) in trial order; a numerical failure,
     a radius beyond the unit disk included, names the seed and the trial.
     """
     for t in range(trials):
@@ -131,7 +131,7 @@ def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
         b = product_chain(config, master_seed, trial=t)
         eigs = eigenvalues(b, context=context)
         check_radii(eigs, context)
-        yield t, b, eigs
+        yield b, eigs
 
 
 def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> EigenSample:
@@ -139,7 +139,7 @@ def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> Eigen
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     spectra = trial_spectra(config, trials, master_seed)
-    return EigenSample(np.concatenate([eigs for _, _, eigs in spectra]))
+    return EigenSample(np.concatenate([eigs for _, eigs in spectra]))
 
 
 def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
@@ -155,7 +155,7 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     columns = {"t": ts, "cdf": limit_law.cdf_many(law, ts)}
     if law.equal_alpha:
-        columns["pdf"] = limit_law.pdf_radial_equal_alpha(law.alphas[0], law.k, ts)
+        columns["pdf"] = limit_law.pdf_many(law, ts)
     write_table(out_path, columns)
 
 
@@ -196,7 +196,7 @@ def run_verify(cfg: ExperimentConfig):
 
     t0 = time.perf_counter()
     spectra, moments = [], []
-    for _, b, eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
+    for b, eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
         spectra.append(eigs)
         moments.append(trace_moment(b, MOMENT_PMAX))
     sample = EigenSample(np.concatenate(spectra))

@@ -2,7 +2,7 @@
 
 The tests check `haarprod.limit_law` against these: S in its plain product
 form, evaluated in w with no change of variable, and the equal-alpha
-closed-form radial CDF.  Neither goes through `_log_s` or the inversion.
+closed-form radial CDF and density.  None goes through `_log_s` or the inversion.
 The moments -> S direction of the series algebra (`m_from_moments`,
 `s_transform_of`) lives here too: the package only goes from S to moments.
 """
@@ -36,6 +36,20 @@ def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
         return 1.0
     u = t ** (2.0 / k)
     return (alpha - 1.0) * u / (1.0 - u)
+
+
+def pdf_equal_alpha(alpha: float, k: int, t):
+    """Closed-form radial density 2(alpha-1)/k * t^{2/k-1} / (1-t^{2/k})^2, elementwise over t."""
+    if alpha <= 1.0:
+        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if k < 1:
+        raise DomainError(f"k must be positive, got {k}")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    inside = (t > 0.0) & (t < alpha ** (-k / 2.0))
+    u = t[inside] ** (2.0 / k)
+    out[inside] = 2.0 * (alpha - 1.0) / k * u / t[inside] / (1.0 - u) ** 2
+    return out if out.ndim else float(out)
 
 
 def m_from_moments(moments, order: int) -> np.ndarray:

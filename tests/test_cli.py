@@ -24,16 +24,19 @@ def read_csv(path):
 
 class TestAnalyticCdf:
     def test_grid_includes_support_endpoint(self, tmp_path):
-        out = tmp_path / "cdf.csv"
-        rc = main(["analytic-cdf", "--n", "8", "--dims", "4,4", "--grid", "3",
-                   "--out", str(out)])
-        assert rc == 0
-        header, rows = read_csv(out)
-        assert header == ["t", "cdf", "pdf"]
-        assert len(rows) == 3
-        t_last, f_last = float(rows[-1][0]), float(rows[-1][1])
-        assert t_last == pytest.approx(2**-0.5, rel=1e-15)
-        assert f_last == 1.0
+        # alphas (2) and (2, 2, 2): the last row has cdf 1 and pdf 0
+        for dims, edge in [("4,4", 2**-0.5), ("4,4,4,4", 2**-1.5)]:
+            out = tmp_path / "cdf.csv"
+            rc = main(["analytic-cdf", "--n", "8", "--dims", dims, "--grid", "3",
+                       "--out", str(out)])
+            assert rc == 0
+            header, rows = read_csv(out)
+            assert header == ["t", "cdf", "pdf"]
+            assert len(rows) == 3
+            t_last, f_last, pdf_last = (float(x) for x in rows[-1])
+            assert t_last == pytest.approx(edge, rel=1e-15)
+            assert f_last == 1.0
+            assert pdf_last == 0.0
 
     def test_unequal_alpha_has_no_pdf_column(self, tmp_path):
         out = tmp_path / "cdf.csv"

@@ -13,11 +13,11 @@ from haarprod.limit_law import (
     RadialLaw,
     cdf_many,
     exact_sample,
-    pdf_radial_equal_alpha,
+    pdf_many,
     quantile,
 )
 from haarprod.series import theorem_s_series
-from oracles import cdf_equal_alpha, s_eval
+from oracles import cdf_equal_alpha, pdf_equal_alpha, s_eval
 
 ALPHA_SETS = [(2.0,), (2.0, 2.0), (3.0, 1.5), (1.25, 1.25, 1.25), (3.0, 2.0, 1.5, 1.25)]
 
@@ -180,6 +180,20 @@ class TestCdf:
         cdf_many(law, np.linspace(0.0, law.support_radius, 1000))
         assert len(calls) <= 21
 
+    def test_pdf_pass_count(self, monkeypatch):
+        # the cdf_many schedule plus one pass for d log S/dv
+        calls = []
+        log_s = limit_law._log_s
+
+        def counted(law, v):
+            calls.append(v)
+            return log_s(law, v)
+
+        monkeypatch.setattr(limit_law, "_log_s", counted)
+        law = RadialLaw((2.0, 1.5))
+        pdf_many(law, np.linspace(0.0, law.support_radius, 1000))
+        assert len(calls) <= 22
+
     def test_log_s_residual_of_inversion(self):
         for alphas in [(1.0 + 1e-6,), (1.01,), (2.0, 1.5), (3.0, 3.0, 3.0), (1000.0, 2.0),
                        (50.0, 1.001, 3.0)]:
@@ -213,29 +227,62 @@ class TestClosedFormEqualAlpha:
 
 class TestPdfEqualAlpha:
     def test_hand_value(self):
-        assert pdf_radial_equal_alpha(2.0, 1, 0.5) == pytest.approx(1.0 / 0.75**2, rel=1e-13)
+        assert pdf_many(RadialLaw((2.0,)), 0.5) == pytest.approx(1.0 / 0.75**2, rel=1e-13)
 
     def test_normalizes(self):
         for alpha, k in [(2.0, 1), (2.0, 2), (1.5, 3)]:
-            edge = alpha ** (-k / 2)
-            total, _ = quad(lambda t: pdf_radial_equal_alpha(alpha, k, t), 0, edge, limit=200)
+            law = RadialLaw((alpha,) * k)
+            total, _ = quad(lambda t: float(pdf_many(law, t)), 0, law.support_radius,
+                            limit=200)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_outside_open_support(self):
-        assert pdf_radial_equal_alpha(2.0, 2, 0.0) == 0.0
-        assert pdf_radial_equal_alpha(2.0, 2, 0.5) == 0.0
+        law = RadialLaw((2.0, 2.0))
+        # the support radius is 0.5; at t = 1e-30, F = 1e-30 lies below the inversion floor
+        for t in (0.0, 1e-30, 0.5, 0.6):
+            assert pdf_many(law, t) == 0.0
 
     def test_matches_cdf_derivative(self):
         h, t = 1e-6, 0.3
         num = (cdf_equal_alpha(2.0, 2, t + h) - cdf_equal_alpha(2.0, 2, t - h)) / (2 * h)
-        assert num == pytest.approx(pdf_radial_equal_alpha(2.0, 2, t), abs=1e-6)
+        assert num == pytest.approx(pdf_many(RadialLaw((2.0, 2.0)), t), abs=1e-6)
 
     def test_array_call_matches_scalar_calls(self):
+        law = RadialLaw((1.5,) * 3)
         ts = np.linspace(0.0, 0.4, 101)  # support radius 1.5**-1.5 = 0.544
-        one_call = pdf_radial_equal_alpha(1.5, 3, ts)
-        scalars = np.array([pdf_radial_equal_alpha(1.5, 3, t) for t in ts])
+        one_call = pdf_many(law, ts)
+        scalars = np.array([pdf_many(law, t) for t in ts])
         assert one_call[0] == 0.0
         assert np.max(np.abs(one_call[1:] / scalars[1:] - 1.0)) <= 1e-14
+
+    def test_matches_closed_form_oracle(self):
+        for alphas in [(1.01,), (2.0,), (2.0, 2.0), (3.0, 3.0, 3.0), (1.5, 1.5, 1.5),
+                       (50.0, 50.0)]:
+            law = RadialLaw(alphas)
+            for ts in (np.geomspace(1e-12, law.support_radius, 10_000),
+                       np.linspace(0.0, law.support_radius, 10_000)):
+                f = cdf_many(law, ts)
+                inner = (f > 0.0) & (f < 1.0)
+                closed = pdf_equal_alpha(alphas[0], len(alphas), ts[inner])
+                rel = np.abs(pdf_many(law, ts[inner]) / closed - 1.0)
+                assert np.max(rel) <= 1e-13, alphas
+
+
+class TestPdf:
+    def test_integrates_to_cdf_increments_unequal_alpha(self):
+        for alphas in [(2.0, 1.5), (3.0, 2.0, 1.5), (50.0, 1.001, 3.0)]:
+            law = RadialLaw(alphas)
+            edges = np.linspace(0.0, law.support_radius, 9)
+            increments = np.diff(cdf_many(law, edges))
+            for a, b, df in zip(edges[:-1], edges[1:], increments):
+                total, _ = quad(lambda t: float(pdf_many(law, t)), a, b,
+                                epsabs=1e-14, epsrel=1e-13, limit=200)
+                assert abs(total - df) <= 1e-11, alphas
+
+    def test_negative_radius_rejected(self):
+        for t in (-0.1, np.nan, [0.1, np.nan, 0.2]):
+            with pytest.raises(DomainError):
+                pdf_many(RadialLaw((2.0,)), t)
 
 
 class TestQuantile:
@@ -321,6 +368,13 @@ class TestLawConstruction:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             RadialLaw((0.9,))
+
+    def test_non_finite_alpha_rejected(self):
+        for alphas in [(np.nan,), (np.inf,), (2.0, np.nan)]:
+            with pytest.raises(DegenerateLawError):
+                RadialLaw(alphas)
+        with pytest.raises(DegenerateLawError):
+            exact_sample(np.nan, 1, 5, substream(0, 0))
 
 
 @given(
