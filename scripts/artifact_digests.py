@@ -13,6 +13,11 @@ outputs shows whether a change kept every artifact byte-identical.
 Digests are comparable only on one machine at one thread count: the
 BLAS reduction order, and so the last digits of the eigenvalues, depend
 on both.
+
+The `sample-eigs-*` and `verify-*` runs draw Haar matrices, so any
+change to the Ginibre stream or the QR moves their digests.  The
+`analytic-cdf-*`, `exact-sample-*` and `series-check-*` runs are
+matrix-free: a sampler change must leave them byte-identical.
 """
 
 import argparse

@@ -1,9 +1,9 @@
 """Haar unitary sampling and products of their rectangular corners.
 
 Haar matrices are generated by the Ginibre + QR construction with the
-diagonal phase correction; raw QR output is not Haar distributed.  A
-corner block is drawn along its short side: a thin QR of min(rows, cols)
-columns, factored in place, replaces truncating a full n x n unitary,
+diagonal phase correction (Mezzadri 2007); raw QR output is not Haar.
+A corner block is drawn along its short side, at the size it keeps: n x c
+Ginibre entries, c = min(rows, cols), factored in place by one thin QR,
 and a wide block is the transpose of a tall one.  All randomness flows
 through named substreams of a single master seed so that trials are
 reproducible independently of evaluation order.
@@ -25,38 +25,37 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. standard complex normal matrix (variance 1/2 per component).
+    """i.i.d. standard complex normal matrix (variance 1/2 per component), C order.
 
-    Real parts are drawn first, then imaginary parts, each filled into one
-    complex array: no complex temporaries.
+    One (rows, cols, 2) normal draw, divided by sqrt(2) in place and viewed
+    as complex: entry (i, j) takes its real and imaginary part from two
+    consecutive normals, and row i the 2 * cols normals after those of rows
+    0..i-1, so the first r rows are the same numbers for every rows >= r.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    g = np.empty((rows, cols), dtype=complex)
-    g.real = rng.standard_normal((rows, cols))
-    g.imag = rng.standard_normal((rows, cols))
-    g /= np.sqrt(2.0)
-    return g
+    x = rng.standard_normal((rows, cols, 2))
+    x /= np.sqrt(2.0)
+    return x.view(complex)[..., 0]
 
 
-def haar_unitary(n: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
-    """First `cols` columns (all n by default) of an n x n Haar unitary.
+def haar_unitary(n: int, rng: np.random.Generator, cols: int) -> np.ndarray:
+    """First `cols` columns of an n x n Haar unitary.
 
-    QR of the first `cols` columns of an n x n Ginibre draw, each column of
-    Q multiplied by the phase of its diagonal entry of R: the unique
-    factorization with positive-diagonal R, which is provably Haar.  Column
-    j of Q depends on Ginibre columns 1..j only, so this is the full draw's
-    column block (up to roundoff), and the random stream does not depend on
-    `cols`.  The kept columns are copied once, in Fortran order, and LAPACK
-    factors that copy and forms Q in place; the phase is applied in place
-    too.  A zero pivot (probability zero) keeps phase 1, so Q stays
-    orthonormal.
+    Thin QR of an n x cols Ginibre block, each column of Q multiplied by
+    the phase of its diagonal entry of R: the unique factorization with
+    positive-diagonal R, which is provably Haar.  The block is the
+    transpose of a cols x n draw, i.e. the first `cols` columns of the
+    n x n draw from the same stream; column j of Q depends on columns
+    1..j only, so this is that unitary's column block (up to roundoff).
+    The transposed C-order draw is already in Fortran order: LAPACK
+    factors it and forms Q in place, as the phase is applied.  A zero
+    pivot (probability zero) keeps phase 1, so Q stays orthonormal.
     """
-    cols = n if cols is None else cols
     if not 1 <= cols <= n:
         raise ValueError(f"need 1 <= cols <= n, got cols={cols}, n={n}")
-    kept = np.asfortranarray(sample_ginibre(n, n, rng)[:, :cols])
-    q, r = scipy.linalg.qr(kept, mode="economic", overwrite_a=True, check_finite=False)
+    q, r = scipy.linalg.qr(sample_ginibre(cols, n, rng).T, mode="economic", overwrite_a=True,
+                           check_finite=False)
     d = np.diagonal(r)
     q *= np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
     return q

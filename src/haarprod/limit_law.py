@@ -13,6 +13,7 @@ S blows up like 1/(1+w) at the left endpoint, so S is evaluated, and the
 CDF inverted, in the variable v = log(1+w) = log F, where both are well
 conditioned over the whole range.  The density follows from the same
 inversion: log S(v) = -2 log t gives f(t) = -2F / (t d log S/dv).
+`cdf_many`, `pdf_many` and `quantile` give a float for a scalar argument.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
     return v
 
 
-def cdf_many(law: RadialLaw, t) -> np.ndarray:
+def cdf_many(law: RadialLaw, t):
     """Radial CDF F(t) = 1 + S^{-1}(t^{-2}) elementwise over t >= 0, 0/1 off the support."""
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # also rejects NaN
@@ -137,21 +138,21 @@ def cdf_many(law: RadialLaw, t) -> np.ndarray:
             v = _invert_many(law, s[solvable])
             vals[solvable] = np.exp(v)  # 1 + w = e^v
         out[interior] = vals
-    return out
+    return out if out.ndim else float(out)
 
 
-def pdf_many(law: RadialLaw, t) -> np.ndarray:
+def pdf_many(law: RadialLaw, t):
     """Radial density f(t) = -2F / (t d log S/dv) at v = log F, elementwise over t >= 0.
 
     One `_log_s` pass after `cdf_many`; exactly 0 wherever F is 0 or 1.
     """
     t = np.asarray(t, dtype=float)
-    f = cdf_many(law, t)
+    f = np.asarray(cdf_many(law, t))
     out = np.zeros(t.shape)
     inner = (f > 0.0) & (f < 1.0)
     _, dlogs = _log_s(law, np.log(f[inner]))
     out[inner] = -2.0 * f[inner] / (t[inner] * dlogs)
-    return out
+    return out if out.ndim else float(out)
 
 
 def quantile(law: RadialLaw, p):

@@ -318,7 +318,7 @@ def test_criterion_7_support_confinement(equal_alpha_study, unequal_alpha_run):
 def test_criterion_8_property_suites():
     checks = {}
 
-    u = haar_unitary(64, substream(20, 0))
+    u = haar_unitary(64, substream(20, 0), 64)
     checks["unitarity"] = float(np.max(np.abs(u @ u.conj().T - np.eye(64)))) <= 1e-12 * 64
 
     cfg = AspectConfig(n=24, dims=(12, 18, 12))

@@ -232,8 +232,7 @@ class TestPdfEqualAlpha:
     def test_normalizes(self):
         for alpha, k in [(2.0, 1), (2.0, 2), (1.5, 3)]:
             law = RadialLaw((alpha,) * k)
-            total, _ = quad(lambda t: float(pdf_many(law, t)), 0, law.support_radius,
-                            limit=200)
+            total, _ = quad(lambda t: pdf_many(law, t), 0, law.support_radius, limit=200)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_outside_open_support(self):
@@ -275,7 +274,7 @@ class TestPdf:
             edges = np.linspace(0.0, law.support_radius, 9)
             increments = np.diff(cdf_many(law, edges))
             for a, b, df in zip(edges[:-1], edges[1:], increments):
-                total, _ = quad(lambda t: float(pdf_many(law, t)), a, b,
+                total, _ = quad(lambda t: pdf_many(law, t), a, b,
                                 epsabs=1e-14, epsrel=1e-13, limit=200)
                 assert abs(total - df) <= 1e-11, alphas
 
@@ -398,3 +397,13 @@ def test_cdf_equal_alpha_monotone(alpha, k, t_pair):
 def test_quantile_cdf_identity_property(alphas, p):
     law = RadialLaw(tuple(alphas))
     assert cdf_many(law, quantile(law, p)) == pytest.approx(p, abs=1e-11)
+
+
+@pytest.mark.parametrize("evaluate", [cdf_many, pdf_many, quantile])
+def test_scalar_gives_float_and_array_keeps_shape(evaluate):
+    law = RadialLaw((2.0, 1.5))
+    assert type(evaluate(law, 0.3)) is float
+    assert type(evaluate(law, np.float64(0.3))) is float
+    for shape in [(1,), (4,), (2, 3)]:
+        out = evaluate(law, np.full(shape, 0.3))
+        assert isinstance(out, np.ndarray) and out.shape == shape
