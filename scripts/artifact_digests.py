@@ -17,7 +17,10 @@ on both.
 The `sample-eigs-*` and `verify-*` runs draw Haar matrices, so any
 change to the Ginibre stream or the QR moves their digests.  The
 `analytic-cdf-*`, `exact-sample-*` and `series-check-*` runs are
-matrix-free: a sampler change must leave them byte-identical.
+matrix-free: a sampler change must leave them byte-identical.  Only the
+`verify-*` runs (analytic moments and series residual) and the
+`series-check-*` runs read `haarprod.series`, so a series change may
+move only those.
 """
 
 import argparse

@@ -3,9 +3,8 @@
 A series is a 1-D float array of its coefficients c_0..c_N, indexed by
 power and truncated at an order N every caller names.  No function writes
 into an argument.  Everything needed to go from the product law's
-S-transform to its moments is here: ring operations, composition,
-compositional inverse by Newton iteration, and the specific rational
-building blocks of the product law.
+S-transform to its moments is here: ring operations, the moments by
+Lagrange inversion, and the rational building blocks of the product law.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ def series(coeffs, order: int) -> np.ndarray:
     return np.array(a, dtype=float)
 
 
-def identity_series(order: int) -> np.ndarray:
-    return series([0.0, 1.0], order)
-
-
 def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order = min(len(a), len(b)) - 1
     return np.convolve(a, b)[: order + 1]
@@ -44,55 +39,23 @@ def series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q
 
 
-def series_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a(b(z)) for b with zero constant term, by Horner evaluation."""
-    if b[0] != 0.0:
-        raise SeriesError("inner series must have zero constant term")
-    order = min(len(a), len(b)) - 1
-    acc = series([a[-1]], order)
-    for j in range(len(a) - 2, -1, -1):
-        acc = series_mul(acc, b)
-        acc[0] += a[j]
-    return acc
-
-
-def derivative(a: np.ndarray) -> np.ndarray:
-    return series(a[1:] * np.arange(1, len(a)), len(a) - 1)
-
-
-def comp_inverse(f: np.ndarray) -> np.ndarray:
-    """Compositional inverse g with f(g(z)) = z, by Newton iteration.
-
-    Requires c_0 = 0 and c_1 != 0.  Each step doubles the number of
-    correct coefficients, so log2(order) + a margin of steps suffice.
-    """
-    if f[0] != 0.0:
-        raise SeriesError("compositional inverse requires zero constant term")
-    if f[1] == 0.0:
-        raise SeriesError("compositional inverse requires nonzero linear term")
-    order = len(f) - 1
-    z = identity_series(order)
-    fp = derivative(f)
-    g = series([0.0, 1.0 / f[1]], order)
-    steps = max(3, int(np.ceil(np.log2(order + 1))) + 2)
-    for _ in range(steps):
-        resid = series_compose(f, g) - z
-        g = g - series_div(resid, series_compose(fp, g))
-    return g
-
-
 def moments_from_s(s: np.ndarray) -> list[float]:
-    """First N moments of the distribution with S-transform s.
+    """First len(s) moments of the distribution with S-transform s.
 
-    Inverts the defining map: M^{-1}(z) = z/(1+z) * S(z), then takes the
-    compositional inverse to recover the moment series.
+    M^{-1}(z) = z S(z)/(1+z), so Lagrange inversion gives
+    m_p = (1/p) [z^{p-1}] h(z)^p with h = (1+z)/S(z).  m_p reads s only
+    up to z^{p-1}.
     """
     if s[0] == 0.0:
         raise SeriesError("S-transform must have nonzero constant term")
-    order = len(s)
-    shifted = series([0.0] + list(s), order)
-    minv = series_div(shifted, series([1.0, 1.0], order))
-    return comp_inverse(minv)[1:].tolist()
+    order = len(s) - 1
+    h = series_div(series([1.0, 1.0], order), s)
+    power = series([1.0], order)
+    moments = []
+    for p in range(1, order + 2):
+        power = series_mul(power, h)
+        moments.append(float(power[p - 1] / p))
+    return moments
 
 
 def rational_series(num, den, order: int) -> np.ndarray:

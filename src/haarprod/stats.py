@@ -31,6 +31,13 @@ class KsReport:
 
 @dataclass(frozen=True)
 class MomentRow:
+    """Mean trace moment over the trials against its limit value.
+
+    `z_score` divides by the standard error from the trials' own spread,
+    so it is a t statistic with trials - 1 degrees of freedom: Cauchy-like
+    at 2 trials, where a large |z| is no evidence against the sampler.
+    """
+
     p: int
     empirical_mean: float
     std_error: float | None  # None for one trial
@@ -93,8 +100,8 @@ def analytic_moments(law: RadialLaw, p_max: int) -> list[float]:
 
     These are moments of the squared singular values, not of the squared radius.
     """
-    s = series.theorem_s_series(law.alphas, order=max(p_max, 2))
-    return series.moments_from_s(s)[:p_max]
+    s = series.theorem_s_series(law.alphas, order=p_max - 1)
+    return series.moments_from_s(s)
 
 
 def moment_rows(per_trial: np.ndarray, law: RadialLaw) -> list[MomentRow]:
