@@ -9,6 +9,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -27,10 +28,8 @@ from .pipeline import (
 )
 from .spectra import EigensolverError, RadiusOverflowError
 
-# JSON config keys, which are the ExperimentConfig fields and the flags' dests,
-# and the types their values may take; dims is a list of ints
-CONFIG_TYPES = {"n": int, "dims": list, "trials": int, "master_seed": int,
-                "delta": (int, float), "grid_points": int}
+# JSON config keys and flag dests: the ExperimentConfig fields, which check their own types
+CONFIG_KEYS = [field.name for field in dataclasses.fields(ExperimentConfig)]
 
 DEFAULT_OUT_NAME = {
     "sample-eigs": "eigs.csv",
@@ -76,12 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _has_type(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 def _read_config_file(path) -> dict:
-    """Keys of a JSON config file, each checked against CONFIG_TYPES."""
+    """Keys of a JSON config file, each one of CONFIG_KEYS."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -89,20 +84,15 @@ def _read_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(CONFIG_TYPES)
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        if not _has_type(value, CONFIG_TYPES[key]) or (
-            key == "dims" and not all(_has_type(d, int) for d in value)
-        ):
-            raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
     return raw
 
 
 def load_config(args) -> ExperimentConfig:
     fields = _read_config_file(args.config) if args.config is not None else {}
-    for key in CONFIG_TYPES:  # flags win over the file
+    for key in CONFIG_KEYS:  # flags win over the file
         value = getattr(args, key)
         if value is not None:
             fields[key] = _parse_dims(value) if key == "dims" else value

@@ -9,11 +9,19 @@ quantities the limit law depends on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Invalid dimension configuration."""
+
+
+def checked_int(name: str, value) -> int:
+    """`value` as an int; a bool, a float, a string or any other non-integer is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,12 @@ class AspectConfig:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.n < 1:
+        try:
+            dims = tuple(checked_int(f"dims[{i}]", d) for i, d in enumerate(self.dims))
+        except TypeError:  # not iterable
+            raise ConfigError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        object.__setattr__(self, "dims", dims)
+        if checked_int("n", self.n) < 1:
             raise ConfigError(f"ambient dimension n must be positive, got {self.n}")
         if len(self.dims) < 2:
             raise ConfigError("dims must list k+1 >= 2 block sizes")

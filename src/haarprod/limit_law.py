@@ -19,7 +19,6 @@ inversion: log S(v) = -2 log t gives f(t) = -2F / (t d log S/dv).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .config import ConfigError
 # there is far below 1e-10 for every parameter set of interest
 _W_FLOOR = 1e-15
 _V_FLOOR = np.log(_W_FLOOR)  # about -34.5
-# the inversion schedule of _invert_many: 1 + 12 + 8 = 21 passes of _log_s per cdf_many
+# the inversion schedule of _invert_many: 12 + 8 = 20 passes of _log_s per cdf_many
 _BISECTION_STEPS = 12
 _NEWTON_STEPS = 8
 
@@ -69,16 +68,8 @@ class RadialLaw:
         return len(self.alphas)
 
     @property
-    def equal_alpha(self) -> bool:
-        return all(a == self.alphas[0] for a in self.alphas)
-
-    @cached_property
-    def alpha_product(self) -> float:
-        return float(np.prod(self.alphas))
-
-    @property
     def support_radius(self) -> float:
-        return 1.0 / np.sqrt(self.alpha_product)
+        return 1.0 / np.sqrt(np.prod(self.alphas))
 
 
 def _log_s(law: RadialLaw, v):
@@ -102,7 +93,8 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
 
     Bisection narrows each point's bracket to width -_V_FLOOR / 2**12 (about
     0.008); Newton steps from its midpoint then double the correct digits per
-    step, each step clipped to that point's own bracket.
+    step, each step clipped to that point's own bracket.  d log S/dv < 0, so a
+    point solved below the floor (s = inf included) ends exactly on _V_FLOOR.
     """
     target = np.log(s)
     lo = np.full(s.shape, _V_FLOOR)
@@ -116,8 +108,7 @@ def _invert_many(law: RadialLaw, s: np.ndarray) -> np.ndarray:
     v = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         f, df = _log_s(law, v)
-        step = np.where(df != 0.0, (f - target) / df, 0.0)
-        v = np.clip(v - step, lo, hi)
+        v = np.clip(v - (f - target) / df, lo, hi)
     return v
 
 
@@ -129,15 +120,8 @@ def cdf_many(law: RadialLaw, t):
     out = np.zeros(t.shape)
     out[t >= law.support_radius] = 1.0
     interior = (t > 0) & (t < law.support_radius)
-    if np.any(interior):
-        s = np.maximum(t[interior] ** -2.0, law.alpha_product)
-        s_cap, _ = _log_s(law, np.asarray(_V_FLOOR))
-        vals = np.zeros(s.shape)
-        solvable = np.log(s) < s_cap  # below the cap the mass is < 1e-10
-        if np.any(solvable):
-            v = _invert_many(law, s[solvable])
-            vals[solvable] = np.exp(v)  # 1 + w = e^v
-        out[interior] = vals
+    v = _invert_many(law, t[interior] ** -2.0)
+    out[interior] = np.where(v > _V_FLOOR, np.exp(v), 0.0)  # 1 + w = e^v, 0 on the floor
     return out if out.ndim else float(out)
 
 

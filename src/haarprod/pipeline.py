@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 import resource
 import time
@@ -22,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import limit_law, series, stats
-from .config import AspectConfig, ConfigError
+from .config import AspectConfig, ConfigError, checked_int
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
 from .spectra import EigenSample, check_radii, eigenvalues
@@ -46,13 +47,14 @@ class ExperimentConfig(AspectConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.trials < 1:
+        if checked_int("trials", self.trials) < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not (0 <= self.master_seed < 2**64):
+        if not (0 <= checked_int("master_seed", self.master_seed) < 2**64):
             raise ConfigError("master_seed must fit in 64 unsigned bits")
-        if not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.grid_points < 2:
+        if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
+                and 0.0 < self.delta < 1.0):
+            raise ConfigError(f"delta must be a real number in (0, 1), got {self.delta!r}")
+        if checked_int("grid_points", self.grid_points) < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
@@ -154,7 +156,7 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
     law = RadialLaw(cfg.alphas)
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     columns = {"t": ts, "cdf": limit_law.cdf_many(law, ts)}
-    if law.equal_alpha:
+    if len(set(law.alphas)) == 1:
         columns["pdf"] = limit_law.pdf_many(law, ts)
     write_table(out_path, columns)
 

@@ -71,10 +71,11 @@ def finite_n_beta_params(n, dims):
     B_{i,j} ~ Beta(j + n_{i+1} - n_1, n - n_{i+1}).  For k = 1 this is
     Beta(j, n - m) (Zyczkowski & Sommers 2000); for products see
     Adhikari, Reddy, Reddy & Saha 2016.  Returns one (a_j array, b) pair
-    per factor.
+    per factor with n_{i+1} < n; a factor with n_{i+1} = n has b = 0, so
+    its B is a point mass at 1 and is left out.
     """
     j = np.arange(1, dims[0] + 1)
-    return [(j + d - dims[0], n - d) for d in dims[1:]]
+    return [(j + d - dims[0], n - d) for d in dims[1:] if d < n]
 
 
 def product_beta_cdf(factors, s):
@@ -140,8 +141,8 @@ def haar_corner_radii(n, dims, trials, rng):
 
 @pytest.mark.parametrize(
     "n, dims, trials",
-    [(20, (10, 10), 2000), (18, (6, 12, 6), 3000)],
-    ids=["k1-square", "k2-rectangular"],
+    [(20, (10, 10), 2000), (18, (6, 12, 6), 3000), (12, (6, 12, 6), 3000)],
+    ids=["k1-square", "k2-rectangular", "k2-middle-dim-n"],
 )
 def test_finite_n_reference_matches_matrix_monte_carlo(n, dims, trials):
     """The finite-n reference that criteria 4 and 7 rely on, against matrices.
@@ -156,6 +157,13 @@ def test_finite_n_reference_matches_matrix_monte_carlo(n, dims, trials):
     threshold = dkw_bound(len(radii))
     assert ks_distance(radii, finite_n_cdf(params)) <= threshold
     assert ks_distance(radii, finite_n_cdf(shifted)) > 2 * threshold
+
+
+def test_finite_n_reference_drops_a_full_middle_factor():
+    # n = 12, dims 6,12,6: the product is the 6 x 6 corner of U_1 U_2, so the
+    # squared moduli are {Beta(j, 6)} and the edge t^2 = 1/2 has a closed form
+    exact = 1.0 - np.mean(betainc(np.arange(1, 7), 6, 0.5))
+    assert abs(edge_mass(12, (6, 12, 6)) - exact) <= 1e-12
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, RadialLaw, pipeline
-from haarprod.cli import CONFIG_TYPES, DEFAULT_OUT_NAME, main
+from haarprod.cli import DEFAULT_OUT_NAME, main
 from haarprod.haar import product_chain
 from haarprod.pipeline import ExperimentConfig, collect_sample
 from haarprod.stats import ks_radial
@@ -196,7 +196,6 @@ class TestConfigHandling:
 
     def test_config_keys_are_the_experiment_fields(self, tmp_path):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(CONFIG_TYPES) == names
         out = tmp_path / "r.json"
         assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "2",
                      "--out", str(out)]) == 0
@@ -212,7 +211,13 @@ class TestConfigHandling:
         None,  # no file at all
         '{"n": 8, "dims": [4, 4]',
         '{"n": "8", "dims": [4, 4]}',
-    ], ids=["missing", "malformed-json", "string-n"])
+        '[1, 2]',
+        '{"n": 8, "dims": [4.5, 4.5]}',
+        '{"n": 8, "dims": 4}',
+        '{"n": 8, "dims": [4, 4], "trials": true}',
+        '{"n": 8, "dims": [4, 4], "delta": "0.01"}',
+    ], ids=["missing", "malformed-json", "string-n", "not-an-object", "float-dims",
+            "scalar-dims", "bool-trials", "string-delta"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, content):
         cfgfile = tmp_path / "cfg.json"
         if content is not None:
@@ -245,9 +250,16 @@ def assert_one_line_exit_2(argv, capsys, prefix):
     ["verify", "--n", "8", "--dims", "4,4", "--delta", "x"],
     ["bogus", "--n", "8", "--dims", "4,4"],
     [],
-], ids=["non-integer-n", "non-float-delta", "unknown-mode", "no-mode"])
-def test_bad_flag_exits_2_with_one_line(argv, capsys):
+    ["sample-eigs", "--dims", "4,4"],
+    ["exact-sample", "--n", "12", "--dims", "6,8,6"],
+], ids=["non-integer-n", "non-float-delta", "unknown-mode", "no-mode", "missing-n",
+        "unequal-exact-sample"])
+def test_bad_flag_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
+    # run where the default output would land, and check that nothing is written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HAARPROD_OUT", raising=False)
     assert_one_line_exit_2(argv, capsys, prefix="haarprod: config error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # each case: where --out points, and the directory made in the way beforehand
@@ -393,6 +405,16 @@ def test_write_table_matches_row_by_row_format_across_blocks(tmp_path):
     assert p.read_text(encoding="utf-8") == "i,x,y\n" + rows
     pipeline.write_table(p, {"i": np.arange(0), "x": np.zeros(0)})
     assert p.read_text(encoding="utf-8") == "i,x\n"
+
+
+def test_write_table_failure_while_formatting_keeps_the_earlier_file(tmp_path):
+    p = tmp_path / "t.csv"
+    pipeline.write_table(p, {"x": [0.5]})
+    before = p.read_bytes()
+    with pytest.raises(TypeError):  # "%.17g" of a string fails on the first block
+        pipeline.write_table(p, {"x": np.array(["a", "b"])})
+    assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["t.csv"]
 
 
 def test_write_table_rejects_unequal_columns(tmp_path):

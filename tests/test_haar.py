@@ -36,6 +36,19 @@ class TestAspectConfig:
         with pytest.raises(ConfigError):
             AspectConfig(n=8, dims=(8,))
 
+    @pytest.mark.parametrize("n, dims", [
+        (16, (8.9, 8.2, 8.9)), (16.0, (8, 8)), (True, (1, 1)), (16, (True, True)),
+        ("16", (8, 8)), (16, ("8", "8")), (16, "88"), (16, 8), (16, None),
+    ], ids=["float-dims", "float-n", "bool-n", "bool-dims", "string-n", "string-dims",
+            "string-as-dims", "scalar-dims", "no-dims"])
+    def test_rejects_non_integer_sizes(self, n, dims):
+        with pytest.raises(ConfigError):
+            AspectConfig(n=n, dims=dims)
+
+    def test_accepts_numpy_integers(self):
+        cfg = AspectConfig(n=np.int64(16), dims=[np.int32(8), np.uint8(8)])
+        assert cfg.dims == (8, 8) and all(type(d) is int for d in cfg.dims)
+
 
 class TestGinibre:
     def test_scalar_draw_finite(self):
