@@ -25,6 +25,7 @@ from scipy.stats import beta
 from haarprod import AspectConfig
 from haarprod.limit_law import RadialLaw
 from haarprod.pipeline import collect_sample
+from haarprod.spectra import polar
 from haarprod.stats import ks_angular, ks_radial
 
 
@@ -50,11 +51,12 @@ def main():
         law = RadialLaw(cfg.alphas)
         expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
         for seed in range(args.seeds):
-            sam = collect_sample(cfg, trials=args.trials, master_seed=seed)
-            rad = ks_radial(sam, law).statistic
-            ang = ks_angular(sam).statistic
-            frac = float(np.mean(sam.radii > law.support_radius))
-            over = float(sam.radii.max() - law.support_radius)
+            eigs = collect_sample(cfg, trials=args.trials, master_seed=seed)
+            rad = ks_radial(eigs, law).statistic
+            ang = ks_angular(eigs).statistic
+            radii, _ = polar(eigs)
+            frac = float(np.mean(radii > law.support_radius))
+            over = float(radii.max() - law.support_radius)
             print(f"{n},{m},{seed},{rad:.5f},{ang:.5f},{expected:.5f},{frac:.5f},{over:.5f}")
 
 

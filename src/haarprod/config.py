@@ -44,7 +44,8 @@ class AspectConfig:
         except TypeError:  # not iterable
             raise ConfigError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
-        if checked_int("n", self.n) < 1:
+        object.__setattr__(self, "n", checked_int("n", self.n))
+        if self.n < 1:
             raise ConfigError(f"ambient dimension n must be positive, got {self.n}")
         if len(self.dims) < 2:
             raise ConfigError("dims must list k+1 >= 2 block sizes")

@@ -120,7 +120,9 @@ def cdf_many(law: RadialLaw, t):
     out = np.zeros(t.shape)
     out[t >= law.support_radius] = 1.0
     interior = (t > 0) & (t < law.support_radius)
-    v = _invert_many(law, t[interior] ** -2.0)
+    with np.errstate(over="ignore"):  # t < 1e-154 gives inf: the bracket maps it to the floor
+        s = t[interior] ** -2.0
+    v = _invert_many(law, s)
     out[interior] = np.where(v > _V_FLOOR, np.exp(v), 0.0)  # 1 + w = e^v, 0 on the floor
     return out if out.ndim else float(out)
 

@@ -26,7 +26,7 @@ from . import limit_law, series, stats
 from .config import AspectConfig, ConfigError, checked_int
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
-from .spectra import EigenSample, check_radii, eigenvalues
+from .spectra import check_radii, eigenvalues, polar
 
 SCHEMA_VERSION = 1
 # fixed analysis settings of `verify` and `series-check`
@@ -47,14 +47,17 @@ class ExperimentConfig(AspectConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if checked_int("trials", self.trials) < 1:
+        for name in ("trials", "master_seed", "grid_points"):  # stored as Python ints
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if self.trials < 1:
             raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not (0 <= checked_int("master_seed", self.master_seed) < 2**64):
+        if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 unsigned bits")
         if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
                 and 0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must be a real number in (0, 1), got {self.delta!r}")
-        if checked_int("grid_points", self.grid_points) < 2:
+        object.__setattr__(self, "delta", float(self.delta))
+        if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
@@ -136,20 +139,18 @@ def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
         yield b, eigs
 
 
-def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> EigenSample:
-    """Concatenated spectra of `trials` independent product-chain draws."""
+def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> np.ndarray:
+    """Eigenvalues of `trials` independent product-chain draws, concatenated in trial order."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    spectra = trial_spectra(config, trials, master_seed)
-    return EigenSample(np.concatenate([eigs for _, eigs in spectra]))
+    return np.concatenate([eigs for _, eigs in trial_spectra(config, trials, master_seed)])
 
 
 def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
-    sample = collect_sample(cfg, cfg.trials, cfg.master_seed)
-    eigs = sample.eigenvalues
+    eigs = collect_sample(cfg, cfg.trials, cfg.master_seed)
+    radii, angles = polar(eigs)
     write_table(out_path, {"trial": np.repeat(np.arange(cfg.trials), cfg.out_dim),
-                           "re": eigs.real, "im": eigs.imag,
-                           "radius": sample.radii, "angle": sample.angles})
+                           "re": eigs.real, "im": eigs.imag, "radius": radii, "angle": angles})
 
 
 def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
@@ -198,15 +199,15 @@ def run_verify(cfg: ExperimentConfig):
 
     t0 = time.perf_counter()
     spectra, moments = [], []
-    for b, eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
-        spectra.append(eigs)
+    for b, trial_eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
+        spectra.append(trial_eigs)
         moments.append(trace_moment(b, MOMENT_PMAX))
-    sample = EigenSample(np.concatenate(spectra))
+    eigs = np.concatenate(spectra)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    radial = stats.ks_radial(sample, law, cfg.delta)
-    angular = stats.ks_angular(sample, cfg.delta)
+    radial = stats.ks_radial(eigs, law, cfg.delta)
+    angular = stats.ks_angular(eigs, cfg.delta)
     rows = stats.moment_rows(np.array(moments), law)
     resid = series_residuals(cfg.alphas, SERIES_ORDER)
     meta["wall_clock_s"]["analysis"] = time.perf_counter() - t0
@@ -226,7 +227,7 @@ def run_verify(cfg: ExperimentConfig):
         "schema_version": SCHEMA_VERSION,
         "config": {**asdict(cfg), "alphas": cfg.alphas, "series_order": SERIES_ORDER},
         "support_radius": law.support_radius,
-        "origin_eigenvalues": sample.origin_count,
+        "origin_eigenvalues": int(np.count_nonzero(eigs == 0)),
         "ks": [ks_dict(radial), ks_dict(angular)],
         "moments": [asdict(r) for r in rows],
         "series_check": {

@@ -1,9 +1,6 @@
-"""Eigenvalues of product matrices and pooled spectral samples."""
+"""Eigenvalues of product matrices; a pooled spectrum is the plain array of them."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -19,32 +16,6 @@ class EigensolverError(RuntimeError):
 
 class RadiusOverflowError(RuntimeError):
     """An eigenvalue radius exceeded 1 by more than the roundoff slack."""
-
-
-@dataclass(frozen=True)
-class EigenSample:
-    """Pooled eigenvalues of independent product-chain draws.
-
-    radii are |lambda| clipped to 1 when roundoff pushes them above by at
-    most RADIUS_SLACK; angles lie in [0, 2*pi), with eigenvalues at the
-    origin assigned angle 0 and counted in origin_count.
-    """
-
-    eigenvalues: np.ndarray
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return np.minimum(np.abs(self.eigenvalues), 1.0)
-
-    @cached_property
-    def angles(self) -> np.ndarray:
-        angles = np.mod(np.angle(self.eigenvalues), 2 * np.pi)
-        angles[self.eigenvalues == 0] = 0.0
-        return angles
-
-    @cached_property
-    def origin_count(self) -> int:
-        return int(np.sum(self.eigenvalues == 0))
 
 
 def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
@@ -68,3 +39,10 @@ def check_radii(eigs: np.ndarray, context: str) -> None:
             f"eigenvalue radius {radius:.3e} exceeds 1 beyond "
             f"roundoff slack ({context})"
         )
+
+
+def polar(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |lambda| clipped to 1, and angles in [0, 2*pi) that are 0 at the origin."""
+    angles = np.mod(np.angle(eigs), 2 * np.pi)
+    angles[eigs == 0] = 0.0
+    return np.minimum(np.abs(eigs), 1.0), angles

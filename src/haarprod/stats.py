@@ -8,7 +8,7 @@ import numpy as np
 
 from . import limit_law, series
 from .limit_law import RadialLaw
-from .spectra import EigenSample
+from .spectra import polar
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
     return float(max(np.max(grid - cdf_values), np.max(cdf_values - (grid - 1.0 / n))))
 
 
-def ks_radial(sample: EigenSample, law: RadialLaw, delta: float = 0.001) -> KsReport:
-    """KS distance of pooled eigenvalue radii against the radial CDF."""
-    return ks_radii_against_law(sample.radii, law, delta)
+def ks_radial(eigs: np.ndarray, law: RadialLaw, delta: float = 0.001) -> KsReport:
+    """KS distance of pooled eigenvalues' radii (`spectra.polar`) against the radial CDF."""
+    return ks_radii_against_law(polar(eigs)[0], law, delta)
 
 
 def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001) -> KsReport:
@@ -76,12 +76,13 @@ def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001
                       delta, "radial")
 
 
-def ks_angular(sample: EigenSample, delta: float = 0.001) -> KsReport:
-    """KS distance of eigenvalue angles against Uniform[0, 2*pi).
+def ks_angular(eigs: np.ndarray, delta: float = 0.001) -> KsReport:
+    """KS distance of pooled eigenvalues' angles (`spectra.polar`) against Uniform[0, 2*pi).
 
     Eigenvalues at the origin have no angle and are excluded.
     """
-    angles = sample.angles[sample.radii > 0]
+    radii, angles = polar(eigs)
+    angles = angles[radii > 0]
     if len(angles) == 0:
         raise ValueError("all eigenvalues at the origin; no angular sample")
     return _ks_report(angles, lambda a: a / (2.0 * np.pi), delta, "angular")

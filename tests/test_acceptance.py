@@ -25,6 +25,7 @@ from haarprod.haar import haar_unitary, product_chain, substream, trace_moment
 from haarprod.limit_law import RadialLaw, cdf_many, exact_sample, quantile
 from haarprod.pipeline import collect_sample
 from haarprod.series import moments_from_s, scaled_s_check, series, theorem_s_series
+from haarprod.spectra import polar
 from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_rows
 from oracles import cdf_equal_alpha, s_transform_of
 
@@ -179,7 +180,7 @@ def equal_alpha_study():
             entry[tag] = {
                 "radial": ks_radial(sam, law).statistic,
                 "angular": ks_angular(sam).statistic,
-                "radii": sam.radii,
+                "radii": polar(sam)[0],
             }
         rows.append(entry)
     return rows
@@ -304,7 +305,7 @@ def test_criterion_7_support_confinement(equal_alpha_study, unequal_alpha_run):
         for tag, n in STUDY_SIZES
     ]
     cfg = unequal_alpha_run["config"]
-    pools.append((unequal_alpha_run["sample"].radii, (cfg.n, cfg.dims)))
+    pools.append((polar(unequal_alpha_run["sample"])[0], (cfg.n, cfg.dims)))
     edges = {key: support_radius(*key) for _, key in pools}
     expected = {key: edge_mass(*key) for key in edges}
     worst_excess = max(float(r.max()) - edges[key] for r, key in pools)

@@ -12,6 +12,7 @@ from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import DEFAULT_OUT_NAME, main
 from haarprod.haar import product_chain
 from haarprod.pipeline import ExperimentConfig, collect_sample
+from haarprod.spectra import polar
 from haarprod.stats import ks_radial
 
 
@@ -162,6 +163,21 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert "environment" not in report
         assert "peak_rss_mb" not in report
+
+
+    def test_numpy_config_is_recorded_as_python_numbers(self, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = ExperimentConfig(n=np.int64(8), dims=(np.int32(4), np.uint8(4)),
+                               trials=np.int64(1), master_seed=np.uint64(3),
+                               delta=np.float32(0.01), grid_points=np.int16(8))
+        pipeline.write_verify(cfg, out)
+        config = json.loads(out.read_text())["config"]
+        assert config["dims"] == [4, 4] and config["delta"] == float(np.float32(0.01))
+        assert (config["n"], config["trials"], config["master_seed"],
+                config["grid_points"]) == (8, 1, 3, 8)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("n", "trials", "master_seed", "grid_points"))
+        assert type(cfg.delta) is float
 
 
 class TestConfigHandling:
@@ -427,19 +443,19 @@ def test_write_table_rejects_unequal_columns(tmp_path):
 
 def test_every_consumer_sees_the_same_draws(tmp_path):
     config = AspectConfig(n=24, dims=(12, 18, 12))
-    sample = collect_sample(config, trials=3, master_seed=8)
+    pooled = collect_sample(config, trials=3, master_seed=8)
     args = ["--n", "24", "--dims", "12,18,12", "--trials", "3", "--seed", "8"]
 
     eigs = tmp_path / "eigs.csv"
     assert main(["sample-eigs", *args, "--out", str(eigs)]) == 0
     _, rows = read_csv(eigs)
-    assert np.array_equal(np.array([float(r[3]) for r in rows]), sample.radii)
+    assert np.array_equal(np.array([float(r[3]) for r in rows]), polar(pooled)[0])
 
     report_path = tmp_path / "report.json"
     assert main(["verify", *args, "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     radial = next(r for r in report["ks"] if r["label"] == "radial")
-    expected = ks_radial(sample, RadialLaw(config.alphas), report["config"]["delta"])
+    expected = ks_radial(pooled, RadialLaw(config.alphas), report["config"]["delta"])
     assert radial["statistic"] == expected.statistic
     assert radial["sample_size"] == expected.sample_size
-    assert report["origin_eigenvalues"] == sample.origin_count
+    assert report["origin_eigenvalues"] == int(np.count_nonzero(pooled == 0))

@@ -48,6 +48,7 @@ class TestAspectConfig:
     def test_accepts_numpy_integers(self):
         cfg = AspectConfig(n=np.int64(16), dims=[np.int32(8), np.uint8(8)])
         assert cfg.dims == (8, 8) and all(type(d) is int for d in cfg.dims)
+        assert cfg.n == 16 and type(cfg.n) is int
 
 
 class TestGinibre:

@@ -5,7 +5,7 @@ import sympy
 from haarprod import AspectConfig
 from haarprod.haar import product_chain, substream
 from haarprod.pipeline import collect_sample
-from haarprod.spectra import EigenSample, eigenvalues
+from haarprod.spectra import eigenvalues, polar
 
 
 def sorted_by_angle_then_mod(vals):
@@ -47,36 +47,37 @@ class TestEigenvalues:
 class TestCollectSample:
     def test_haar_spectrum_on_unit_circle(self):
         cfg = AspectConfig(n=16, dims=(16, 16))
-        sam = collect_sample(cfg, trials=1, master_seed=0)
-        assert len(sam.eigenvalues) == 16
-        assert np.max(np.abs(np.abs(sam.eigenvalues) - 1.0)) <= 1e-10
+        eigs = collect_sample(cfg, trials=1, master_seed=0)
+        assert len(eigs) == 16
+        assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-10
 
     def test_sample_size_counts_trials(self):
         cfg = AspectConfig(n=12, dims=(6, 8, 6))
-        sam = collect_sample(cfg, trials=2, master_seed=1)
-        assert len(sam.eigenvalues) == 12
+        eigs = collect_sample(cfg, trials=2, master_seed=1)
+        assert len(eigs) == 12
 
     def test_radii_angles_consistent(self):
         cfg = AspectConfig(n=12, dims=(6, 8, 6))
-        sam = collect_sample(cfg, trials=3, master_seed=2)
-        recon = sam.radii * np.exp(1j * sam.angles)
+        eigs = collect_sample(cfg, trials=3, master_seed=2)
+        radii, angles = polar(eigs)
+        recon = radii * np.exp(1j * angles)
         # clipping may move a radius by <= 1e-8; away from that, exact
-        assert np.max(np.abs(recon - sam.eigenvalues)) <= 1e-8
-        assert np.all(sam.angles >= 0) and np.all(sam.angles < 2 * np.pi)
-        assert np.all(sam.radii <= 1.0)
+        assert np.max(np.abs(recon - eigs)) <= 1e-8
+        assert np.all(angles >= 0) and np.all(angles < 2 * np.pi)
+        assert np.all(radii <= 1.0)
 
     def test_derived_from_eigenvalues_alone(self):
-        sam = EigenSample(np.array([0.0, 1j, -1.0 - 1e-12]))
-        assert np.array_equal(sam.radii, [0.0, 1.0, 1.0])
-        assert np.allclose(sam.angles, [0.0, np.pi / 2, np.pi], rtol=0, atol=1e-15)
-        assert sam.origin_count == 1
+        # np.angle(-0-0j) is -pi, which np.mod alone would turn into pi
+        radii, angles = polar(np.array([0.0, 1j, -1.0 - 1e-12, complex(-0.0, -0.0)]))
+        assert np.array_equal(radii, [0.0, 1.0, 1.0, 0.0])
+        assert np.allclose(angles, [0.0, np.pi / 2, np.pi, 0.0], rtol=0, atol=1e-15)
 
     def test_support_confinement_pilot(self):
         # support radius is 1/sqrt(2) at alpha=2, k=1; finite-size overshoot
         # stays within the calibrated 0.06 margin
         cfg = AspectConfig(n=400, dims=(200, 200))
-        sam = collect_sample(cfg, trials=1, master_seed=3)
-        assert sam.radii.max() <= 2**-0.5 + 0.06
+        radii, _ = polar(collect_sample(cfg, trials=1, master_seed=3))
+        assert radii.max() <= 2**-0.5 + 0.06
 
 
 class TestSpectralInvariants:

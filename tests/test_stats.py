@@ -6,7 +6,6 @@ from haarprod import AspectConfig, limit_law
 from haarprod.haar import product_chain, substream, trace_moment
 from haarprod.limit_law import RadialLaw, exact_sample, quantile
 from haarprod.pipeline import collect_sample
-from haarprod.spectra import EigenSample
 from haarprod.stats import (
     analytic_moments,
     dkw_threshold,
@@ -16,10 +15,6 @@ from haarprod.stats import (
     ks_statistic,
     moment_rows,
 )
-
-
-def make_sample(eigs):
-    return EigenSample(np.asarray(eigs, dtype=complex))
 
 
 class TestKsMachinery:
@@ -90,23 +85,22 @@ class TestKsAngular:
     def test_uniform_grid(self):
         n = 1000
         angles = (np.arange(1, n + 1) - 0.5) * 2 * np.pi / n
-        sam = make_sample(np.exp(1j * angles))
-        rep = ks_angular(sam)
+        rep = ks_angular(np.exp(1j * angles))
         assert rep.statistic <= 1 / (2 * n) + 1e-9
 
     def test_exact_sample_angles(self):
         z = exact_sample(2.0, 2, 10**6, substream(4, 0))
-        rep = ks_angular(make_sample(z))
+        rep = ks_angular(z)
         assert rep.statistic <= 0.0014
 
     def test_origin_excluded(self):
         z = np.concatenate([np.exp(1j * np.linspace(0.1, 6.0, 50)), np.zeros(5)])
-        rep = ks_angular(make_sample(z))
+        rep = ks_angular(z)
         assert rep.sample_size == 50
 
     def test_all_origin_rejected(self):
         with pytest.raises(ValueError):
-            ks_angular(make_sample(np.zeros(4)))
+            ks_angular(np.zeros(4, dtype=complex))
 
 
 class TestMomentReport:
