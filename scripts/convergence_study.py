@@ -18,6 +18,7 @@ scale.  For k > 1 that column is nan.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 from scipy.stats import beta
@@ -47,11 +48,11 @@ def main():
     print("n,m,seed,radial_ks,angular_ks,expected_frac_outside,frac_outside,max_overshoot")
     for n in sizes:
         m = round(n / args.ratio)
-        cfg = AspectConfig(n=n, dims=(m,) * (args.k + 1))
+        cfg = AspectConfig(n=n, dims=(m,) * (args.k + 1), trials=args.trials)
         law = RadialLaw(cfg.alphas)
         expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
         for seed in range(args.seeds):
-            eigs = collect_sample(cfg, trials=args.trials, master_seed=seed)
+            eigs = collect_sample(replace(cfg, master_seed=seed))
             rad = ks_radial(eigs, law).statistic
             ang = ks_angular(eigs).statistic
             radii, _ = polar(eigs)

@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands: sample-eigs | analytic-cdf | exact-sample | verify |
-series-check.  Parameters come from an optional JSON config file
-(--config) with flag overrides winning; HAARPROD_OUT sets the default
-output directory.
+Modes: sample-eigs | analytic-cdf | exact-sample | verify | series-check.
+Parameters come from an optional JSON config file (--config) with flag
+overrides winning; HAARPROD_OUT sets the default output directory.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError
+from .config import AspectConfig, ConfigError
 from .pipeline import (
-    ExperimentConfig,
     run_analytic_cdf,
     run_exact_sample,
     run_sample_eigs,
@@ -28,8 +26,8 @@ from .pipeline import (
 )
 from .spectra import EigensolverError, RadiusOverflowError
 
-# JSON config keys and flag dests: the ExperimentConfig fields, which check their own types
-CONFIG_KEYS = [field.name for field in dataclasses.fields(ExperimentConfig)]
+# JSON config keys and flag dests: the AspectConfig fields, which check their own types
+CONFIG_KEYS = [field.name for field in dataclasses.fields(AspectConfig)]
 
 DEFAULT_OUT_NAME = {
     "sample-eigs": "eigs.csv",
@@ -60,18 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Limit law and Monte-Carlo spectra of products of "
         "truncated Haar unitary matrices",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in DEFAULT_OUT_NAME:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--n", type=int, help="ambient dimension")
-        p.add_argument("--dims", type=str, help="comma-separated block sizes n1..nk+1")
-        p.add_argument("--trials", type=int, help="number of independent trials")
-        p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-        p.add_argument("--delta", type=float, help="KS confidence parameter")
-        p.add_argument("--grid", type=int, dest="grid_points",
-                       help="grid points for analytic-cdf")
-        p.add_argument("--out", type=Path, help="output file path")
+    parser.add_argument("mode", choices=DEFAULT_OUT_NAME)
+    parser.add_argument("--config", type=Path, help="JSON config file")
+    parser.add_argument("--n", type=int, help="ambient dimension")
+    parser.add_argument("--dims", type=str, help="comma-separated block sizes n1..nk+1")
+    parser.add_argument("--trials", type=int, help="number of independent trials")
+    parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    parser.add_argument("--delta", type=float, help="KS confidence parameter")
+    parser.add_argument("--grid", type=int, dest="grid_points",
+                        help="grid points for analytic-cdf")
+    parser.add_argument("--out", type=Path, help="output file path")
     return parser
 
 
@@ -90,7 +86,7 @@ def _read_config_file(path) -> dict:
     return raw
 
 
-def load_config(args) -> ExperimentConfig:
+def load_config(args) -> AspectConfig:
     fields = _read_config_file(args.config) if args.config is not None else {}
     for key in CONFIG_KEYS:  # flags win over the file
         value = getattr(args, key)
@@ -100,7 +96,7 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError("n is required (flag --n or config file)")
     if "dims" not in fields:
         raise ConfigError("dims is required (flag --dims or config file)")
-    return ExperimentConfig(**fields)
+    return AspectConfig(**fields)
 
 
 def resolve_out(args) -> Path:

@@ -1,7 +1,8 @@
-"""Dimension configuration for truncated-product experiments.
+"""The one record of a truncated-product run.
 
-An experiment is parametrized by an ambient dimension n and a chain of
-block sizes n_1, ..., n_{k+1}.  Matrix i is the left-uppermost
+A run is an ambient dimension n and a chain of block sizes
+n_1, ..., n_{k+1}, plus the trial count and master seed of its Monte
+Carlo and its test settings.  Matrix i is the left-uppermost
 n_i x n_{i+1} block of an independent n x n Haar unitary, and the product
 is square of size n_1.  The aspect ratios alpha_i = n / n_i are the
 quantities the limit law depends on.
@@ -10,6 +11,7 @@ quantities the limit law depends on.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -26,17 +28,25 @@ def checked_int(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class AspectConfig:
-    """Ambient dimension plus the k+1 block sizes of the product chain.
+    """A run: ambient dimension, the k+1 block sizes, and sampling and test settings.
 
     Invariants enforced at construction:
       * every block size is at most n,
       * the first and last block sizes are equal and minimal, so the
         product is square and alpha_1 = max(alpha_i),
-      * at least one factor (k >= 1).
+      * at least one factor (k >= 1),
+      * every array a run allocates (a factor's n x min(n_i, n_{i+1})
+        draw, trials * n_1 pooled eigenvalues, grid_points) has a byte
+        size, at 16 bytes an entry, that fits in sys.maxsize.
+    Integer fields are stored as Python ints and delta as a float.
     """
 
     n: int
     dims: tuple[int, ...]
+    trials: int = 10
+    master_seed: int = 0
+    delta: float = 0.001
+    grid_points: int = 256
 
     def __post_init__(self):
         try:
@@ -60,6 +70,23 @@ class AspectConfig:
                 "first and last block sizes must both equal the minimum "
                 f"(got dims={self.dims})"
             )
+        for name in ("trials", "master_seed", "grid_points"):  # stored as Python ints
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        if self.trials < 1:
+            raise ConfigError(f"trials must be positive, got {self.trials}")
+        if not (0 <= self.master_seed < 2**64):
+            raise ConfigError("master_seed must fit in 64 unsigned bits")
+        if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
+                and 0.0 < self.delta < 1.0):
+            raise ConfigError(f"delta must be a real number in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta))
+        if self.grid_points < 2:
+            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        largest = max(self.n * max(map(min, self.dims, self.dims[1:])),
+                      self.trials * self.dims[0], self.grid_points)
+        if 16 * largest > sys.maxsize:
+            raise ConfigError("sizes too large to allocate: n * min(n_i, n_{i+1}), trials * n_1 "
+                              f"and grid_points must each be at most {sys.maxsize // 16}")
 
     @property
     def k(self) -> int:

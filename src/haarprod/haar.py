@@ -61,12 +61,12 @@ def haar_unitary(n: int, rng: np.random.Generator, cols: int) -> np.ndarray:
     return q
 
 
-def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
-    """Product of k independent truncated Haar unitaries.
+def product_chain(config, trial: int = 0) -> np.ndarray:
+    """Product of k independent truncated Haar unitaries for one trial of `config`.
 
     Matrix i is the n_i x n_{i+1} corner block of its own Haar draw; the
     result is square of size n_1 and a contraction.  Each of the k draws
-    uses substream (trial, i) of the master seed and keeps only
+    uses substream (trial, i) of `config.master_seed` and keeps only
     c = min(n_i, n_{i+1}) columns.  A tall or square block is the first
     n_i rows of those columns.  A wide block is the transpose of the first
     n_{i+1} rows: the transpose of a Haar unitary is Haar, so its corner
@@ -74,7 +74,7 @@ def product_chain(config, master_seed: int, trial: int = 0) -> np.ndarray:
     """
     b = None
     for i, (rows, cols) in enumerate(zip(config.dims, config.dims[1:])):
-        q = haar_unitary(config.n, substream(master_seed, trial, i), min(rows, cols))
+        q = haar_unitary(config.n, substream(config.master_seed, trial, i), min(rows, cols))
         a = q[:rows] if rows >= cols else q[:cols].T
         b = a if b is None else b @ a
     return b

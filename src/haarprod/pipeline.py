@@ -1,6 +1,6 @@
 """Experiment orchestration and machine-readable artifacts.
 
-Every run is fully determined by (config, master seed) at a fixed BLAS
+Every run is fully determined by its config (seed included) at a fixed BLAS
 thread count.  A table is a dict of named 1-D columns, streamed row by row
 as integers or round-trippable 17-significant-digit reals; the verify
 report is byte-identical across repeated runs.  Wall-clock timings and
@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 import os
 import resource
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 import scipy
 
 from . import limit_law, series, stats
-from .config import AspectConfig, ConfigError, checked_int
+from .config import AspectConfig, ConfigError
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
 from .spectra import check_radii, eigenvalues, polar
@@ -34,31 +33,6 @@ SERIES_ORDER = 16
 MOMENT_PMAX = 3
 # rows per `%` formatting call in write_table
 _BLOCK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class ExperimentConfig(AspectConfig):
-    """A run's parameters: the dimension chain plus sampling and test settings."""
-
-    trials: int = 10
-    master_seed: int = 0
-    delta: float = 0.001
-    grid_points: int = 256
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("trials", "master_seed", "grid_points"):  # stored as Python ints
-            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ConfigError(f"trials must be positive, got {self.trials}")
-        if not (0 <= self.master_seed < 2**64):
-            raise ConfigError("master_seed must fit in 64 unsigned bits")
-        if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
-                and 0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must be a real number in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "delta", float(self.delta))
-        if self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
 def environment() -> dict:
@@ -125,35 +99,34 @@ def written_paths(out_path, verify: bool) -> list[str]:
     return final + [f"{path}.tmp" for path in final]
 
 
-def trial_spectra(config: AspectConfig, trials: int, master_seed: int):
+def trial_spectra(config: AspectConfig):
     """The one sampling loop: each trial's product matrix and its spectrum.
 
-    Yields (b, eigenvalues) in trial order; a numerical failure,
-    a radius beyond the unit disk included, names the seed and the trial.
+    Yields (b, eigenvalues) for `config.trials` trials in trial order; a
+    numerical failure, a radius beyond the unit disk included, names the
+    seed and the trial.
     """
-    for t in range(trials):
-        context = f"seed={master_seed} trial={t}"
-        b = product_chain(config, master_seed, trial=t)
+    for t in range(config.trials):
+        context = f"seed={config.master_seed} trial={t}"
+        b = product_chain(config, trial=t)
         eigs = eigenvalues(b, context=context)
         check_radii(eigs, context)
         yield b, eigs
 
 
-def collect_sample(config: AspectConfig, trials: int, master_seed: int) -> np.ndarray:
-    """Eigenvalues of `trials` independent product-chain draws, concatenated in trial order."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    return np.concatenate([eigs for _, eigs in trial_spectra(config, trials, master_seed)])
+def collect_sample(config: AspectConfig) -> np.ndarray:
+    """Eigenvalues of the `config.trials` product-chain draws, concatenated in trial order."""
+    return np.concatenate([eigs for _, eigs in trial_spectra(config)])
 
 
-def run_sample_eigs(cfg: ExperimentConfig, out_path) -> None:
-    eigs = collect_sample(cfg, cfg.trials, cfg.master_seed)
+def run_sample_eigs(cfg: AspectConfig, out_path) -> None:
+    eigs = collect_sample(cfg)
     radii, angles = polar(eigs)
     write_table(out_path, {"trial": np.repeat(np.arange(cfg.trials), cfg.out_dim),
                            "re": eigs.real, "im": eigs.imag, "radius": radii, "angle": angles})
 
 
-def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
+def run_analytic_cdf(cfg: AspectConfig, out_path) -> None:
     law = RadialLaw(cfg.alphas)
     ts = np.linspace(0.0, law.support_radius, cfg.grid_points)
     columns = {"t": ts, "cdf": limit_law.cdf_many(law, ts)}
@@ -162,15 +135,14 @@ def run_analytic_cdf(cfg: ExperimentConfig, out_path) -> None:
     write_table(out_path, columns)
 
 
-def run_exact_sample(cfg: ExperimentConfig, out_path) -> None:
+def run_exact_sample(cfg: AspectConfig, out_path) -> None:
     if len(set(cfg.alphas)) > 1:
         raise ConfigError("exact-sample requires equal aspect ratios")
     count = cfg.trials * cfg.out_dim
     z = limit_law.exact_sample(cfg.alphas[0], cfg.k, count, substream(cfg.master_seed, 0))
-    # radius by hypot: np.abs(z) differs from it in the last digit on some rows
+    radii, angles = polar(z)
     write_table(out_path, {"index": np.arange(count), "re": z.real, "im": z.imag,
-                           "radius": np.hypot(z.real, z.imag),
-                           "angle": np.mod(np.angle(z), 2 * np.pi)})
+                           "radius": radii, "angle": angles})
 
 
 def series_residuals(alphas, order: int) -> dict:
@@ -181,12 +153,12 @@ def series_residuals(alphas, order: int) -> dict:
             "residual": np.abs(closed - pipeline)}
 
 
-def run_series_check(cfg: ExperimentConfig, out_path) -> None:
+def run_series_check(cfg: AspectConfig, out_path) -> None:
     law = RadialLaw(cfg.alphas)
     write_table(out_path, series_residuals(law.alphas, SERIES_ORDER))
 
 
-def run_verify(cfg: ExperimentConfig):
+def run_verify(cfg: AspectConfig):
     """Full pipeline: sample, compare, and assemble a report dict.
 
     Returns (report, meta); the report is deterministic in (config, seed)
@@ -199,7 +171,7 @@ def run_verify(cfg: ExperimentConfig):
 
     t0 = time.perf_counter()
     spectra, moments = [], []
-    for b, trial_eigs in trial_spectra(cfg, cfg.trials, cfg.master_seed):
+    for b, trial_eigs in trial_spectra(cfg):
         spectra.append(trial_eigs)
         moments.append(trace_moment(b, MOMENT_PMAX))
     eigs = np.concatenate(spectra)
@@ -238,7 +210,7 @@ def run_verify(cfg: ExperimentConfig):
     return report, meta
 
 
-def write_verify(cfg: ExperimentConfig, out_path) -> None:
+def write_verify(cfg: AspectConfig, out_path) -> None:
     """The sidecar is written first, so a report at `out_path` means the run finished."""
     report, meta = run_verify(cfg)
     report_path, sidecar = written_paths(out_path, verify=True)[:2]

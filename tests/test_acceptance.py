@@ -175,8 +175,8 @@ def equal_alpha_study():
     for seed in range(10):
         entry = {"seed": seed}
         for tag, n in STUDY_SIZES:
-            cfg = AspectConfig(n=n, dims=(n // 2, n // 2))
-            sam = collect_sample(cfg, trials=20, master_seed=seed)
+            cfg = AspectConfig(n=n, dims=(n // 2, n // 2), trials=20, master_seed=seed)
+            sam = collect_sample(cfg)
             entry[tag] = {
                 "radial": ks_radial(sam, law).statistic,
                 "angular": ks_angular(sam).statistic,
@@ -189,9 +189,9 @@ def equal_alpha_study():
 @pytest.fixture(scope="session")
 def unequal_alpha_run():
     """n=1800, dims=(900,1200,900): k=2, alphas=(2, 1.5), 10 trials."""
-    cfg = AspectConfig(n=1800, dims=(900, 1200, 900))
+    cfg = AspectConfig(n=1800, dims=(900, 1200, 900), trials=10, master_seed=0)
     law = RadialLaw(cfg.alphas)
-    sam = collect_sample(cfg, trials=10, master_seed=0)
+    sam = collect_sample(cfg)
     return {"config": cfg, "law": law, "sample": sam, "radial": ks_radial(sam, law).statistic}
 
 
@@ -268,13 +268,13 @@ def test_criterion_5_unequal_alpha_convergence(unequal_alpha_run):
 
 
 def test_criterion_6_trace_moments():
-    cfg2 = AspectConfig(n=400, dims=(200, 200, 200))
-    mats2 = [product_chain(cfg2, 6, trial=t) for t in range(50)]
+    cfg2 = AspectConfig(n=400, dims=(200, 200, 200), master_seed=6)
+    mats2 = [product_chain(cfg2, trial=t) for t in range(50)]
     table2 = np.array([trace_moment(b, 2) for b in mats2])
     row_p1 = moment_rows(table2, RadialLaw(cfg2.alphas))[0]
 
-    cfg1 = AspectConfig(n=400, dims=(200, 200))
-    mats1 = [product_chain(cfg1, 7, trial=t) for t in range(50)]
+    cfg1 = AspectConfig(n=400, dims=(200, 200), master_seed=7)
+    mats1 = [product_chain(cfg1, trial=t) for t in range(50)]
     table1 = np.array([trace_moment(b, 2) for b in mats1])
     row_p2 = moment_rows(table1, RadialLaw(cfg1.alphas))[1]
 
@@ -330,10 +330,10 @@ def test_criterion_8_property_suites():
     u = haar_unitary(64, substream(20, 0), 64)
     checks["unitarity"] = float(np.max(np.abs(u @ u.conj().T - np.eye(64)))) <= 1e-12 * 64
 
-    cfg = AspectConfig(n=24, dims=(12, 18, 12))
-    b = product_chain(cfg, 21)
+    cfg = AspectConfig(n=24, dims=(12, 18, 12), master_seed=21)
+    b = product_chain(cfg)
     checks["contraction"] = float(np.linalg.svd(b, compute_uv=False).max()) <= 1 + 1e-10
-    checks["determinism"] = np.array_equal(b, product_chain(cfg, 21))
+    checks["determinism"] = np.array_equal(b, product_chain(cfg))
 
     # f is read as a moment series: exact moments -> S, then the package's S -> moments
     rng = np.random.default_rng(22)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import DEFAULT_OUT_NAME, main
 from haarprod.haar import product_chain
-from haarprod.pipeline import ExperimentConfig, collect_sample
+from haarprod.pipeline import collect_sample
 from haarprod.spectra import polar
 from haarprod.stats import ks_radial
 
@@ -167,9 +167,9 @@ class TestVerify:
 
     def test_numpy_config_is_recorded_as_python_numbers(self, tmp_path):
         out = tmp_path / "r.json"
-        cfg = ExperimentConfig(n=np.int64(8), dims=(np.int32(4), np.uint8(4)),
-                               trials=np.int64(1), master_seed=np.uint64(3),
-                               delta=np.float32(0.01), grid_points=np.int16(8))
+        cfg = AspectConfig(n=np.int64(8), dims=(np.int32(4), np.uint8(4)),
+                           trials=np.int64(1), master_seed=np.uint64(3),
+                           delta=np.float32(0.01), grid_points=np.int16(8))
         pipeline.write_verify(cfg, out)
         config = json.loads(out.read_text())["config"]
         assert config["dims"] == [4, 4] and config["delta"] == float(np.float32(0.01))
@@ -211,7 +211,7 @@ class TestConfigHandling:
             assert key in line
 
     def test_config_keys_are_the_experiment_fields(self, tmp_path):
-        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        names = {f.name for f in dataclasses.fields(AspectConfig)}
         out = tmp_path / "r.json"
         assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "2",
                      "--out", str(out)]) == 0
@@ -268,8 +268,17 @@ def assert_one_line_exit_2(argv, capsys, prefix):
     [],
     ["sample-eigs", "--dims", "4,4"],
     ["exact-sample", "--n", "12", "--dims", "6,8,6"],
+    ["verify", "--n", "8", "--dims", "4,4", "stray"],
+    ["verify", "--bogus", "3", "--n", "8", "--dims", "4,4"],
+    ["sample-eigs", "--n", "8", "--dims", "4,4", "--trials", "0"],
+    # sizes no array can hold, rejected before anything is allocated
+    ["sample-eigs", "--n", str(10**30), "--dims", "1,1"],
+    ["analytic-cdf", "--n", "12", "--dims", "6,6", "--grid", str(10**30)],
+    ["exact-sample", "--n", "12", "--dims", "6,6", "--trials", str(10**30)],
+    ["analytic-cdf", "--n", str(10**400), "--dims", "1,1"],
 ], ids=["non-integer-n", "non-float-delta", "unknown-mode", "no-mode", "missing-n",
-        "unequal-exact-sample"])
+        "unequal-exact-sample", "stray-positional", "unknown-flag", "zero-trials", "huge-n",
+        "huge-grid", "huge-trials", "overflowing-n"])
 def test_bad_flag_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
     # run where the default output would land, and check that nothing is written
     monkeypatch.chdir(tmp_path)
@@ -442,8 +451,10 @@ def test_write_table_rejects_unequal_columns(tmp_path):
 
 
 def test_every_consumer_sees_the_same_draws(tmp_path):
-    config = AspectConfig(n=24, dims=(12, 18, 12))
-    pooled = collect_sample(config, trials=3, master_seed=8)
+    config = AspectConfig(n=24, dims=(12, 18, 12), trials=3, master_seed=8)
+    pooled = collect_sample(config)
+    # a trial's draw does not depend on how many trials follow it
+    assert np.array_equal(collect_sample(dataclasses.replace(config, trials=2)), pooled[:24])
     args = ["--n", "24", "--dims", "12,18,12", "--trials", "3", "--seed", "8"]
 
     eigs = tmp_path / "eigs.csv"

@@ -148,27 +148,27 @@ class TestHaarUnitary:
 
 class TestProductChain:
     def test_untruncated_chain_is_haar_unitary(self):
-        cfg = AspectConfig(n=16, dims=(16, 16))
-        b = product_chain(cfg, master_seed=7)
+        cfg = AspectConfig(n=16, dims=(16, 16), master_seed=7)
+        b = product_chain(cfg)
         assert np.array_equal(b, haar_unitary(16, substream(7, 0, 0), 16))
         eigs = np.linalg.eigvals(b)
         assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-10
 
     def test_inner_dimension_chain(self):
-        cfg = AspectConfig(n=8, dims=(4, 6, 4))
-        b = product_chain(cfg, master_seed=8)
+        cfg = AspectConfig(n=8, dims=(4, 6, 4), master_seed=8)
+        b = product_chain(cfg)
         assert b.shape == (4, 4)
 
     def test_contraction(self):
         for dims in [(4, 4, 4), (4, 6, 4), (3, 5, 6, 3)]:
-            cfg = AspectConfig(n=8, dims=dims)
-            b = product_chain(cfg, master_seed=9)
+            cfg = AspectConfig(n=8, dims=dims, master_seed=9)
+            b = product_chain(cfg)
             assert np.linalg.svd(b, compute_uv=False).max() <= 1 + 1e-10
 
     def test_wide_factor_is_transposed_short_side_draw(self):
         # factor 0 is 4 x 8 (wide): the transpose of the first 8 rows of 4 kept columns
         for seed in (0, 17):
-            b = product_chain(AspectConfig(n=8, dims=(4, 8, 4)), master_seed=seed)
+            b = product_chain(AspectConfig(n=8, dims=(4, 8, 4), master_seed=seed))
             expected = (haar_unitary(8, substream(seed, 0, 0), 4).T
                         @ haar_unitary(8, substream(seed, 0, 1), 4))
             assert np.array_equal(b, expected)
@@ -183,7 +183,7 @@ class TestProductChain:
             return haar_unitary(n, rng, cols)
 
         monkeypatch.setattr(haar, "haar_unitary", spy)
-        b = product_chain(AspectConfig(n=n, dims=dims), master_seed=18)
+        b = product_chain(AspectConfig(n=n, dims=dims, master_seed=18))
         assert requested == [min(r, c) for r, c in zip(dims, dims[1:])]
         assert b.shape == (dims[0], dims[0])
 
@@ -191,26 +191,26 @@ class TestProductChain:
         # Measured 7.43 MB, inside factor 1's QR: factor 0's kept 600 x 300 block
         # (2.9 MB), factor 1's own 300 x 600 draw (2.9 MB), its 300 x 300 R
         # (1.4 MB) and LAPACK workspace. A full 600 x 600 draw put it at 11.5 MB.
-        cfg = AspectConfig(n=600, dims=(300, 400, 300))
-        product_chain(cfg, master_seed=19)  # first calls may allocate caches
+        cfg = AspectConfig(n=600, dims=(300, 400, 300), master_seed=19)
+        product_chain(cfg)  # first calls may allocate caches
         tracemalloc.start()
         try:
-            product_chain(cfg, master_seed=19)
+            product_chain(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 9e6
 
     def test_deterministic_in_seed(self):
-        cfg = AspectConfig(n=8, dims=(4, 6, 4))
-        b1 = product_chain(cfg, master_seed=10, trial=3)
-        b2 = product_chain(cfg, master_seed=10, trial=3)
+        cfg = AspectConfig(n=8, dims=(4, 6, 4), master_seed=10)
+        b1 = product_chain(cfg, trial=3)
+        b2 = product_chain(cfg, trial=3)
         assert np.array_equal(b1, b2)
 
     def test_trials_are_distinct(self):
-        cfg = AspectConfig(n=8, dims=(4, 6, 4))
-        b1 = product_chain(cfg, master_seed=10, trial=0)
-        b2 = product_chain(cfg, master_seed=10, trial=1)
+        cfg = AspectConfig(n=8, dims=(4, 6, 4), master_seed=10)
+        b1 = product_chain(cfg, trial=0)
+        b2 = product_chain(cfg, trial=1)
         assert not np.allclose(b1, b2)
 
 
@@ -222,12 +222,12 @@ class TestTraceMoment:
         assert np.array_equal(trace_moment(np.zeros((3, 3), dtype=complex), 2), [0.0, 0.0])
 
     def test_p_max_below_one_rejected(self):
-        b = product_chain(AspectConfig(n=8, dims=(4, 4)), master_seed=11)
+        b = product_chain(AspectConfig(n=8, dims=(4, 4), master_seed=11))
         with pytest.raises(ValueError):
             trace_moment(b, 0)
 
     def test_mean_first_moment_matches_limit(self):
         # phi(aa*) = 1 / (alpha_1 alpha_2) = 1/4 at alpha = (2, 2)
-        cfg = AspectConfig(n=400, dims=(200, 200, 200))
-        vals = [trace_moment(product_chain(cfg, 12, trial=t), 1)[0] for t in range(50)]
+        cfg = AspectConfig(n=400, dims=(200, 200, 200), master_seed=12)
+        vals = [trace_moment(product_chain(cfg, trial=t), 1)[0] for t in range(50)]
         assert abs(np.mean(vals) - 0.25) <= 0.01

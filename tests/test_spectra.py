@@ -46,19 +46,19 @@ class TestEigenvalues:
 
 class TestCollectSample:
     def test_haar_spectrum_on_unit_circle(self):
-        cfg = AspectConfig(n=16, dims=(16, 16))
-        eigs = collect_sample(cfg, trials=1, master_seed=0)
+        cfg = AspectConfig(n=16, dims=(16, 16), trials=1, master_seed=0)
+        eigs = collect_sample(cfg)
         assert len(eigs) == 16
         assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-10
 
     def test_sample_size_counts_trials(self):
-        cfg = AspectConfig(n=12, dims=(6, 8, 6))
-        eigs = collect_sample(cfg, trials=2, master_seed=1)
+        cfg = AspectConfig(n=12, dims=(6, 8, 6), trials=2, master_seed=1)
+        eigs = collect_sample(cfg)
         assert len(eigs) == 12
 
     def test_radii_angles_consistent(self):
-        cfg = AspectConfig(n=12, dims=(6, 8, 6))
-        eigs = collect_sample(cfg, trials=3, master_seed=2)
+        cfg = AspectConfig(n=12, dims=(6, 8, 6), trials=3, master_seed=2)
+        eigs = collect_sample(cfg)
         radii, angles = polar(eigs)
         recon = radii * np.exp(1j * angles)
         # clipping may move a radius by <= 1e-8; away from that, exact
@@ -75,16 +75,16 @@ class TestCollectSample:
     def test_support_confinement_pilot(self):
         # support radius is 1/sqrt(2) at alpha=2, k=1; finite-size overshoot
         # stays within the calibrated 0.06 margin
-        cfg = AspectConfig(n=400, dims=(200, 200))
-        radii, _ = polar(collect_sample(cfg, trials=1, master_seed=3))
+        cfg = AspectConfig(n=400, dims=(200, 200), trials=1, master_seed=3)
+        radii, _ = polar(collect_sample(cfg))
         assert radii.max() <= 2**-0.5 + 0.06
 
 
 class TestSpectralInvariants:
     @pytest.fixture()
     def draw(self):
-        cfg = AspectConfig(n=16, dims=(8, 12, 8))
-        return product_chain(cfg, master_seed=4)
+        cfg = AspectConfig(n=16, dims=(8, 12, 8), master_seed=4)
+        return product_chain(cfg)
 
     def test_spectral_radius_below_operator_norm(self, draw):
         eigs = eigenvalues(draw)
@@ -98,8 +98,8 @@ class TestSpectralInvariants:
         assert abs(eigs.sum() - np.trace(draw)) <= 1e-9 * n1 * max(norm, 1e-30)
 
     def test_determinant_preserved(self):
-        cfg = AspectConfig(n=16, dims=(8, 8))
-        b = product_chain(cfg, master_seed=5)
+        cfg = AspectConfig(n=16, dims=(8, 8), master_seed=5)
+        b = product_chain(cfg)
         eigs = eigenvalues(b)
         det = abs(np.linalg.det(b))
         assert abs(np.prod(np.abs(eigs)) - det) <= 1e-6 * det

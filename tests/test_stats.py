@@ -58,8 +58,8 @@ class TestKsRadial:
             ks_radii_against_law(np.array([0.1, np.nan, 0.2]), RadialLaw((2.0, 2.0)))
 
     def test_eigen_sample_small(self):
-        cfg = AspectConfig(n=240, dims=(120, 120))
-        sam = collect_sample(cfg, trials=5, master_seed=2)
+        cfg = AspectConfig(n=240, dims=(120, 120), trials=5, master_seed=2)
+        sam = collect_sample(cfg)
         rep = ks_radial(sam, RadialLaw(cfg.alphas))
         assert 0.0 <= rep.statistic <= 0.1
         assert rep.sample_size == 600
@@ -114,8 +114,8 @@ class TestMomentReport:
         assert analytic_moments(law, 1)[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_empirical_within_three_stderr(self):
-        cfg = AspectConfig(n=200, dims=(100, 100, 100))
-        mats = [product_chain(cfg, 5, trial=t) for t in range(40)]
+        cfg = AspectConfig(n=200, dims=(100, 100, 100), master_seed=5)
+        mats = [product_chain(cfg, trial=t) for t in range(40)]
         table = np.array([trace_moment(b, 2) for b in mats])
         rows = moment_rows(table, RadialLaw(cfg.alphas))
         assert rows[0].analytic == pytest.approx(0.25, abs=1e-12)
