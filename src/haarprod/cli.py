@@ -24,7 +24,7 @@ from .pipeline import (
     write_verify,
     written_paths,
 )
-from .spectra import EigensolverError, RadiusOverflowError
+from .spectra import NumericalError
 
 # JSON config keys and flag dests: the AspectConfig fields, which check their own types
 CONFIG_KEYS = [field.name for field in dataclasses.fields(AspectConfig)]
@@ -131,7 +131,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"haarprod: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (EigensolverError, RadiusOverflowError) as exc:
+    except MemoryError as exc:  # sizes the record admits but no allocation can hold
+        print(f"haarprod: config error: sizes too large for this machine: {exc}",
+              file=sys.stderr)
+        return 2
+    except NumericalError as exc:
         print(f"haarprod: numerical failure: {exc}", file=sys.stderr)
         return 1
     return 0

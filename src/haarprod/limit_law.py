@@ -162,11 +162,10 @@ def exact_sample(alpha: float, k: int, count: int, rng: np.random.Generator) -> 
     Radius by the quantile of one uniform variate, then angle uniform on
     [0, 2*pi) independently; alpha = 1 degenerates to the unit circle, and
     alpha < 1 or not finite raises DegenerateLawError (a ValueError).
+    `rng.random` rejects a negative `count` (ValueError) before any draw.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
     u = rng.random(count)
     r = np.ones(count) if alpha == 1.0 else quantile(RadialLaw((alpha,) * k), u)
     theta = rng.random(count) * 2.0 * np.pi

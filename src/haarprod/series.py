@@ -44,10 +44,9 @@ def moments_from_s(s: np.ndarray) -> list[float]:
 
     M^{-1}(z) = z S(z)/(1+z), so Lagrange inversion gives
     m_p = (1/p) [z^{p-1}] h(z)^p with h = (1+z)/S(z).  m_p reads s only
-    up to z^{p-1}.
+    up to z^{p-1}.  An s with a zero constant term has no h, and
+    `series_div` rejects it with a SeriesError.
     """
-    if s[0] == 0.0:
-        raise SeriesError("S-transform must have nonzero constant term")
     order = len(s) - 1
     h = series_div(series([1.0, 1.0], order), s)
     power = series([1.0], order)

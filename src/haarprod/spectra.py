@@ -1,4 +1,7 @@
-"""Eigenvalues of product matrices; a pooled spectrum is the plain array of them."""
+"""Eigenvalues of product matrices; a pooled spectrum is the plain array of them.
+
+scipy rejects a malformed matrix (ValueError); a failed trial raises NumericalError.
+"""
 
 from __future__ import annotations
 
@@ -10,32 +13,23 @@ import scipy.linalg
 RADIUS_SLACK = 1e-8
 
 
-class EigensolverError(RuntimeError):
-    """Dense eigenvalue iteration failed to converge."""
-
-
-class RadiusOverflowError(RuntimeError):
-    """An eigenvalue radius exceeded 1 by more than the roundoff slack."""
+class NumericalError(RuntimeError):
+    """A trial's numerics failed: the eigen-solver, or a radius past the unit disk."""
 
 
 def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a square complex matrix."""
-    m, mm = b.shape
-    if m != mm:
-        raise ValueError(f"matrix must be square, got {m}x{mm}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("matrix has non-finite entries")
+    """All eigenvalues (with multiplicity); scipy rejects a non-square or non-finite b."""
     try:
-        return scipy.linalg.eigvals(b, check_finite=False)  # checked just above
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolverError(f"eigenvalue iteration failed ({context})") from exc
+        return scipy.linalg.eigvals(b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue iteration failed ({context})") from exc
 
 
 def check_radii(eigs: np.ndarray, context: str) -> None:
     """Reject a radius above 1 by more than the roundoff slack, naming `context`."""
     radius = np.abs(eigs).max()
     if radius > 1.0 + RADIUS_SLACK:
-        raise RadiusOverflowError(
+        raise NumericalError(
             f"eigenvalue radius {radius:.3e} exceeds 1 beyond "
             f"roundoff slack ({context})"
         )

@@ -50,7 +50,8 @@ def dkw_threshold(sample_size: int, delta: float) -> float:
         raise ValueError("empty sample")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return float(np.sqrt(np.log(2.0 / delta) / (2.0 * sample_size)))
+    # log 2 - log delta, not log(2 / delta): 2 / delta overflows for a subnormal delta
+    return float(np.sqrt((np.log(2.0) - np.log(delta)) / (2.0 * sample_size)))
 
 
 def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -79,13 +80,11 @@ def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001
 def ks_angular(eigs: np.ndarray, delta: float = 0.001) -> KsReport:
     """KS distance of pooled eigenvalues' angles (`spectra.polar`) against Uniform[0, 2*pi).
 
-    Eigenvalues at the origin have no angle and are excluded.
+    Eigenvalues at the origin have no angle and are excluded; if none is
+    left, `ks_statistic` rejects the empty sample with a ValueError.
     """
     radii, angles = polar(eigs)
-    angles = angles[radii > 0]
-    if len(angles) == 0:
-        raise ValueError("all eigenvalues at the origin; no angular sample")
-    return _ks_report(angles, lambda a: a / (2.0 * np.pi), delta, "angular")
+    return _ks_report(angles[radii > 0], lambda a: a / (2.0 * np.pi), delta, "angular")
 
 
 def _ks_report(values: np.ndarray, model_cdf, delta: float, label: str) -> KsReport:

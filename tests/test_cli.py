@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, RadialLaw, pipeline
@@ -121,16 +122,17 @@ class TestVerify:
         assert "wall_clock_s" not in report
 
     def test_one_trial_report_is_strict_json(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
-                     "--out", str(out)]) == 0
-
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        report = json.loads(out.read_text(), parse_constant=reject)
-        for row in report["moments"]:
-            assert row["std_error"] is None and row["z_score"] is None
+        # the default delta, and subnormal deltas where 2 / delta overflows
+        for i, delta in enumerate([[], ["--delta", "1e-310"], ["--delta", "5e-324"]]):
+            out = tmp_path / f"r{i}.json"
+            assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "1",
+                         *delta, "--out", str(out)]) == 0
+            report = json.loads(out.read_text(), parse_constant=reject)
+            for row in report["moments"]:
+                assert row["std_error"] is None and row["z_score"] is None
 
     def test_one_svd_per_trial(self, tmp_path, monkeypatch):
         calls = []
@@ -276,9 +278,14 @@ def assert_one_line_exit_2(argv, capsys, prefix):
     ["analytic-cdf", "--n", "12", "--dims", "6,6", "--grid", str(10**30)],
     ["exact-sample", "--n", "12", "--dims", "6,6", "--trials", str(10**30)],
     ["analytic-cdf", "--n", str(10**400), "--dims", "1,1"],
+    # sizes the record admits, but whose arrays (3.5-6.9 EiB) no machine can allocate
+    ["analytic-cdf", "--n", "12", "--dims", "6,6", "--grid", str(5 * 10**17)],
+    ["sample-eigs", "--n", str(5 * 10**17), "--dims", "1,1", "--trials", "1"],
+    ["exact-sample", "--n", "2", "--dims", "1,1", "--trials", str(5 * 10**17)],
 ], ids=["non-integer-n", "non-float-delta", "unknown-mode", "no-mode", "missing-n",
         "unequal-exact-sample", "stray-positional", "unknown-flag", "zero-trials", "huge-n",
-        "huge-grid", "huge-trials", "overflowing-n"])
+        "huge-grid", "huge-trials", "overflowing-n", "unallocatable-grid", "unallocatable-n",
+        "unallocatable-trials"])
 def test_bad_flag_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
     # run where the default output would land, and check that nothing is written
     monkeypatch.chdir(tmp_path)
@@ -373,24 +380,38 @@ def test_every_invalid_flag_exits_2_with_one_line(tmp_path_factory, data, mode, 
     assert not out.exists()
 
 
-def fail_on_trial_1(monkeypatch):
-    """Make the eigenvalues of trial 1 overflow the unit disk."""
-    real = pipeline.eigenvalues
+def fail_on_trial_1(monkeypatch, kind="radius"):
+    """Make trial 1 fail: its eigenvalues overflow the unit disk, or the eigen-solver fails."""
     calls = []
+    if kind == "radius":
+        real = pipeline.eigenvalues
 
-    def radius_overflow_on_trial_1(b, context=""):
-        eigs = real(b, context)
-        if len(calls) == 1:
-            eigs[0] = 1.1
-        calls.append(context)
-        return eigs
+        def radius_overflow_on_trial_1(b, context=""):
+            eigs = real(b, context)
+            if len(calls) == 1:
+                eigs[0] = 1.1
+            calls.append(context)
+            return eigs
 
-    monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
+        monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
+    else:
+        real = scipy.linalg.eigvals
+
+        def eigensolver_fails_on_trial_1(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", eigensolver_fails_on_trial_1)
 
 
-@pytest.mark.parametrize("mode", ["verify", "sample-eigs"])
-def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode):
-    fail_on_trial_1(monkeypatch)
+@pytest.mark.parametrize("mode, kind", [
+    ("verify", "radius"), ("sample-eigs", "radius"),
+    ("verify", "eigensolver"), ("sample-eigs", "eigensolver"),
+], ids=["verify", "sample-eigs", "verify-eigensolver", "sample-eigs-eigensolver"])
+def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode, kind):
+    fail_on_trial_1(monkeypatch, kind)
     assert main([mode, "--n", "16", "--dims", "8,8", "--trials", "3", "--seed", "4",
                  "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
