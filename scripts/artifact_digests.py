@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 of the CLI's artifacts for 19 fixed (config, seed) runs.
+"""sha256 of the CLI's artifacts for 20 fixed (config, seed) runs.
 
     PYTHONPATH=src python3 scripts/artifact_digests.py [--threads T]
 
@@ -59,6 +59,10 @@ RUNS = [
     ("verify-n16-8.8-one-trial", "verify --n 16 --dims 8,8 --trials 1 --seed 2"),
     # equal alphas at k = 3: the one pdf column from a multi-factor inversion (~t^(-1/3) at 0)
     ("analytic-cdf-n12-6.6.6.6", "analytic-cdf --n 12 --dims 6,6,6,6 --grid 64"),
+    # k = 2 above LAPACK's block crossover: the blocked geqrf/ungqr path and the
+    # compact copy of factor 0's kept block
+    ("sample-eigs-n300-150.200.150",
+     "sample-eigs --n 300 --dims 150,200,150 --trials 2 --seed 9"),
 ]
 
 

@@ -104,7 +104,9 @@ def trial_spectra(config: AspectConfig):
 
     Yields (b, eigenvalues) for `config.trials` trials in trial order; a
     numerical failure, a radius beyond the unit disk included, names the
-    seed and the trial.
+    seed and the trial.  The loop drops its own reference to b before the
+    next trial's draw; a caller that also drops its own holds one trial's
+    matrices at a time.
     """
     for t in range(config.trials):
         context = f"seed={config.master_seed} trial={t}"
@@ -112,11 +114,16 @@ def trial_spectra(config: AspectConfig):
         eigs = eigenvalues(b, context=context)
         check_radii(eigs, context)
         yield b, eigs
+        del b
 
 
 def collect_sample(config: AspectConfig) -> np.ndarray:
     """Eigenvalues of the `config.trials` product-chain draws, concatenated in trial order."""
-    return np.concatenate([eigs for _, eigs in trial_spectra(config)])
+    spectra = []
+    for b, eigs in trial_spectra(config):
+        del b  # a k = 1 product is a view that keeps the trial's whole Q alive
+        spectra.append(eigs)
+    return np.concatenate(spectra)
 
 
 def run_sample_eigs(cfg: AspectConfig, out_path) -> None:
@@ -174,6 +181,7 @@ def run_verify(cfg: AspectConfig):
     for b, trial_eigs in trial_spectra(cfg):
         spectra.append(trial_eigs)
         moments.append(trace_moment(b, MOMENT_PMAX))
+        del b  # not kept through the next trial's draw
     eigs = np.concatenate(spectra)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 

@@ -5,6 +5,8 @@ form, evaluated in w with no change of variable, and the equal-alpha
 closed-form radial CDF and density.  None goes through `_log_s` or the inversion.
 The moments -> S direction of the series algebra (`m_from_moments`,
 `s_transform_of`) lives here too: the package only goes from S to moments.
+`haar_unitary_qr` is the Haar column block built through `scipy.linalg.qr`,
+R and all, which the package's in-place LAPACK sampler must match bit for bit.
 `s_transform_of` and `exact_moments` revert series exactly in QQ[[z]] with
 sympy, so neither shares arithmetic with `haarprod.series`.
 """
@@ -12,10 +14,12 @@ sympy, so neither shares arithmetic with `haarprod.series`.
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion, rs_series_reversion
 from sympy.polys.rings import ring
 
+from haarprod.haar import sample_ginibre
 from haarprod.limit_law import DomainError, RadialLaw
 from haarprod.series import SeriesError, series
 
@@ -59,6 +63,16 @@ def pdf_equal_alpha(alpha: float, k: int, t):
     u = t[inside] ** (2.0 / k)
     out[inside] = 2.0 * (alpha - 1.0) / k * u / t[inside] / (1.0 - u) ** 2
     return out if out.ndim else float(out)
+
+
+def haar_unitary_qr(n: int, rng: np.random.Generator, cols: int) -> np.ndarray:
+    """First `cols` columns of an n x n Haar unitary: economic QR of the transposed
+    cols x n Ginibre draw, each column of Q times the phase of R's diagonal entry."""
+    q, r = scipy.linalg.qr(sample_ginibre(cols, n, rng).T, mode="economic", overwrite_a=True,
+                           check_finite=False)
+    d = np.diagonal(r)
+    q *= np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
+    return q
 
 
 def m_from_moments(moments, order: int) -> np.ndarray:

@@ -20,8 +20,8 @@ def test_every_mode_reruns_byte_identically():
     lines = first.stdout.splitlines()
     assert lines[0] == "threads 1"
     digests = [line.split() for line in lines[1:]]
-    assert len(digests) == 19
+    assert len(digests) == 20
     assert all(len(d) == 2 and len(d[1]) == 64 for d in digests)
-    assert len({name for name, _ in digests}) == 19
-    assert len({sha for _, sha in digests}) == 19
+    assert len({name for name, _ in digests}) == 20
+    assert len({sha for _, sha in digests}) == 20
     assert second.stdout == first.stdout

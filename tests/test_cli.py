@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,6 +470,24 @@ def test_write_table_rejects_unequal_columns(tmp_path):
         with pytest.raises(ValueError):
             pipeline.write_table(p, columns)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("consumer", [pipeline.run_verify, collect_sample],
+                         ids=["run_verify", "collect_sample"])
+def test_holds_one_trial_at_a_time(consumer):
+    # k = 1: B is a view that holds its trial's whole 600 x 300 Q (2.9 MB); a
+    # previous trial's B kept through the next draw put 3 trials at 1.6x one trial
+    def peak(trials):
+        config = AspectConfig(n=600, dims=(300, 300), trials=trials, master_seed=22)
+        consumer(config)  # first calls may allocate caches
+        tracemalloc.start()
+        try:
+            consumer(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.05 * peak(1)
 
 
 def test_every_consumer_sees_the_same_draws(tmp_path):

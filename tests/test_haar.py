@@ -13,6 +13,18 @@ from haarprod.haar import (
     substream,
     trace_moment,
 )
+from oracles import haar_unitary_qr
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees during fn(*args), after one untraced call."""
+    fn(*args)  # first calls may allocate caches
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAspectConfig:
@@ -100,19 +112,46 @@ class TestHaarUnitary:
             g[0] = 0.0
             return g
 
-        factored, qr = [], scipy.linalg.qr
+        factored, get_funcs = [], scipy.linalg.lapack.get_lapack_funcs
 
-        def qr_spy(a, **kwargs):
-            factored.append(a.copy())
-            return qr(a, **kwargs)
+        def funcs_with_geqrf_spy(names, arrays):
+            geqrf, ungqr = get_funcs(names, arrays)
+
+            def geqrf_spy(a, lwork, overwrite_a):
+                if lwork != -1:
+                    factored.append(a.copy())
+                return geqrf(a, lwork=lwork, overwrite_a=overwrite_a)
+
+            return geqrf_spy, ungqr
 
         monkeypatch.setattr(haar, "sample_ginibre", ginibre_with_zero_first_row)
-        monkeypatch.setattr(scipy.linalg, "qr", qr_spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", funcs_with_geqrf_spy)
         for cols in (6, 3):
             u = haar_unitary(6, substream(4, 0), cols)
             assert factored[-1].shape == (6, cols) and np.all(factored[-1][:, 0] == 0)
             assert u.shape == (6, cols)
             assert np.max(np.abs(u.conj().T @ u - np.eye(cols))) <= 1e-12
+
+    @pytest.mark.parametrize("n, cols", [(16, 16), (12, 5), (64, 1), (600, 300), (600, 599)])
+    def test_matches_scipy_qr_bit_for_bit(self, n, cols):
+        u = haar_unitary(n, substream(20, n, cols), cols)
+        assert np.array_equal(u, haar_unitary_qr(n, substream(20, n, cols), cols))
+
+    def test_factors_the_draw_in_place(self, monkeypatch):
+        draws = []
+
+        def recorded_ginibre(rows, cols, rng):
+            draws.append(sample_ginibre(rows, cols, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(haar, "sample_ginibre", recorded_ginibre)
+        q = haar_unitary(600, substream(21, 0), 300)
+        assert np.shares_memory(q, draws[0])
+        monkeypatch.undo()
+        # the 600 x 300 complex draw is 2.88 MB; R, a copy of the draw (as a
+        # workspace query without overwrite_a makes) or a second Q would add >= 1.4 MB
+        peak = traced_peak(lambda: haar_unitary(600, substream(21, 0), 300))
+        assert peak <= 1.1 * 600 * 300 * 16
 
     @pytest.mark.parametrize("n, cols", [(1, 1), (5, 2), (64, 30), (100, 50), (257, 128),
                                          (600, 300), (600, 599)])
@@ -188,18 +227,12 @@ class TestProductChain:
         assert b.shape == (dims[0], dims[0])
 
     def test_peak_traced_memory(self):
-        # Measured 7.43 MB, inside factor 1's QR: factor 0's kept 600 x 300 block
-        # (2.9 MB), factor 1's own 300 x 600 draw (2.9 MB), its 300 x 300 R
-        # (1.4 MB) and LAPACK workspace. A full 600 x 600 draw put it at 11.5 MB.
+        # Measured 6.24 MB, at the product matmul: factor 0's kept 300 x 400 block
+        # (1.9 MB), factor 1's 600 x 300 Q (2.9 MB) and B (1.4 MB). Keeping factor
+        # 0's whole 600 x 300 Q (2.9 MB) through factor 1's QR, with its 300 x 300
+        # R (1.4 MB), put it at 7.43 MB; a full 600 x 600 draw at 11.5 MB.
         cfg = AspectConfig(n=600, dims=(300, 400, 300), master_seed=19)
-        product_chain(cfg)  # first calls may allocate caches
-        tracemalloc.start()
-        try:
-            product_chain(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9e6
+        assert traced_peak(product_chain, cfg) <= 6.6e6
 
     def test_deterministic_in_seed(self):
         cfg = AspectConfig(n=8, dims=(4, 6, 4), master_seed=10)
