@@ -15,6 +15,10 @@ are, as a set, independent Beta(j, n - m), j = 1..m (Zyczkowski & Sommers
 mean over j of the Beta survival functions.  It decays only like
 ~1/sqrt(m), which is what bounds the achievable pooled KS distance at desk
 scale.  For k > 1 that column is nan.
+
+Input that gives no valid run (a size that rounds m to 0, a ratio <= 1,
+k < 1) exits with code 2 and one line on stderr before anything is
+sampled, as the haarprod CLI does.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.stats import beta
 
-from haarprod import AspectConfig
+from haarprod import AspectConfig, ConfigError
 from haarprod.limit_law import RadialLaw
 from haarprod.pipeline import collect_sample
 from haarprod.spectra import polar
@@ -35,21 +39,41 @@ def expected_fraction_outside(m: int, n: int) -> float:
     return float(np.mean(beta.sf(m / n, np.arange(1, m + 1), n - m)))
 
 
+def studies(args) -> list[tuple[AspectConfig, RadialLaw]]:
+    """One (config, law) per size; bad input raises ConfigError before any sampling."""
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if not args.ratio > 1:
+        raise ConfigError(f"--ratio must be > 1, got {args.ratio!r}")
+    out = []
+    for n in sizes:
+        dims = (round(n / args.ratio),) * (args.k + 1)
+        try:
+            cfg = AspectConfig(n=n, dims=dims, trials=args.trials)
+            out.append((cfg, RadialLaw(cfg.alphas)))
+        except ConfigError as exc:
+            raise ConfigError(f"n={n} --ratio {args.ratio!r} --k {args.k}: {exc}")
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--sizes", default="600,1200", help="comma-separated ambient sizes n")
-    ap.add_argument("--ratio", type=float, default=2.0, help="aspect ratio n/m")
+    ap.add_argument("--ratio", type=float, default=2.0, help="aspect ratio n/m, > 1")
     ap.add_argument("--k", type=int, default=1, help="number of factors")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seeds", type=int, default=10)
     args = ap.parse_args()
+    try:
+        runs = studies(args)
+    except ConfigError as exc:
+        ap.exit(2, f"convergence_study: {exc}\n")
 
-    sizes = [int(s) for s in args.sizes.split(",")]
     print("n,m,seed,radial_ks,angular_ks,expected_frac_outside,frac_outside,max_overshoot")
-    for n in sizes:
-        m = round(n / args.ratio)
-        cfg = AspectConfig(n=n, dims=(m,) * (args.k + 1), trials=args.trials)
-        law = RadialLaw(cfg.alphas)
+    for cfg, law in runs:
+        n, m = cfg.n, cfg.dims[0]
         expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
         for seed in range(args.seeds):
             eigs = collect_sample(replace(cfg, master_seed=seed))

@@ -99,31 +99,24 @@ def written_paths(out_path, verify: bool) -> list[str]:
     return final + [f"{path}.tmp" for path in final]
 
 
-def trial_spectra(config: AspectConfig):
-    """The one sampling loop: each trial's product matrix and its spectrum.
+def trial_spectrum(config: AspectConfig, trial: int, p_max: int):
+    """One trial: its eigenvalues and, for p_max > 0, its trace moments p = 1..p_max.
 
-    Yields (b, eigenvalues) for `config.trials` trials in trial order; a
-    numerical failure, a radius beyond the unit disk included, names the
-    seed and the trial.  The loop drops its own reference to b before the
-    next trial's draw; a caller that also drops its own holds one trial's
-    matrices at a time.
+    The moments come from B's singular values, one SVD; p_max = 0 takes none
+    and gives None.  B is built and dropped in here, so a caller holds one
+    trial's matrices at a time.  A numerical failure, a radius beyond the
+    unit disk included, names the seed and the trial.
     """
-    for t in range(config.trials):
-        context = f"seed={config.master_seed} trial={t}"
-        b = product_chain(config, trial=t)
-        eigs = eigenvalues(b, context=context)
-        check_radii(eigs, context)
-        yield b, eigs
-        del b
+    context = f"seed={config.master_seed} trial={trial}"
+    b = product_chain(config, trial=trial)
+    eigs = eigenvalues(b, context=context)
+    check_radii(eigs, context)
+    return eigs, trace_moment(b, p_max) if p_max else None
 
 
 def collect_sample(config: AspectConfig) -> np.ndarray:
     """Eigenvalues of the `config.trials` product-chain draws, concatenated in trial order."""
-    spectra = []
-    for b, eigs in trial_spectra(config):
-        del b  # a k = 1 product is a view that keeps the trial's whole Q alive
-        spectra.append(eigs)
-    return np.concatenate(spectra)
+    return np.concatenate([trial_spectrum(config, t, 0)[0] for t in range(config.trials)])
 
 
 def run_sample_eigs(cfg: AspectConfig, out_path) -> None:
@@ -177,11 +170,7 @@ def run_verify(cfg: AspectConfig):
     meta = {"timestamp": time.time(), "wall_clock_s": {}, "environment": environment()}
 
     t0 = time.perf_counter()
-    spectra, moments = [], []
-    for b, trial_eigs in trial_spectra(cfg):
-        spectra.append(trial_eigs)
-        moments.append(trace_moment(b, MOMENT_PMAX))
-        del b  # not kept through the next trial's draw
+    spectra, moments = zip(*(trial_spectrum(cfg, t, MOMENT_PMAX) for t in range(cfg.trials)))
     eigs = np.concatenate(spectra)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 

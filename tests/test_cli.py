@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import DEFAULT_OUT_NAME, main
-from haarprod.haar import product_chain
+from haarprod.haar import product_chain, trace_moment
 from haarprod.pipeline import collect_sample
 from haarprod.spectra import polar
 from haarprod.stats import ks_radial
@@ -144,9 +144,12 @@ class TestVerify:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        assert main(["verify", "--n", "16", "--dims", "8,8", "--trials", "3",
-                     "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 3
+        # the trace moments take one SVD per verify trial; sample-eigs takes none
+        for mode, svds in (("verify", 3), ("sample-eigs", 0)):
+            calls.clear()
+            assert main([mode, "--n", "16", "--dims", "8,8", "--trials", "3",
+                         "--out", str(tmp_path / f"{mode}.out")]) == 0
+            assert len(calls) == svds, mode
 
     def test_sidecar_records_the_environment(self, tmp_path):
         out = tmp_path / "r.json"
@@ -475,10 +478,11 @@ def test_write_table_rejects_unequal_columns(tmp_path):
 @pytest.mark.parametrize("consumer", [pipeline.run_verify, collect_sample],
                          ids=["run_verify", "collect_sample"])
 def test_holds_one_trial_at_a_time(consumer):
-    # k = 1: B is a view that holds its trial's whole 600 x 300 Q (2.9 MB); a
-    # previous trial's B kept through the next draw put 3 trials at 1.6x one trial
-    def peak(trials):
-        config = AspectConfig(n=600, dims=(300, 300), trials=trials, master_seed=22)
+    # A trial's matrices live inside pipeline.trial_spectrum and die when it
+    # returns.  A B kept through the next trial's draw put 3 trials at 1.64x
+    # one trial at k = 1 (B is a view that holds the whole 600 x 300 Q) and at
+    # 1.23x at k = 2 (a 300 x 300 product).
+    def peak(config):
         consumer(config)  # first calls may allocate caches
         tracemalloc.start()
         try:
@@ -487,7 +491,9 @@ def test_holds_one_trial_at_a_time(consumer):
         finally:
             tracemalloc.stop()
 
-    assert peak(3) <= 1.05 * peak(1)
+    for dims in ((300, 300), (300, 400, 300)):
+        config = AspectConfig(n=600, dims=dims, trials=1, master_seed=22)
+        assert peak(dataclasses.replace(config, trials=3)) <= 1.05 * peak(config), dims
 
 
 def test_every_consumer_sees_the_same_draws(tmp_path):
@@ -495,6 +501,13 @@ def test_every_consumer_sees_the_same_draws(tmp_path):
     pooled = collect_sample(config)
     # a trial's draw does not depend on how many trials follow it
     assert np.array_equal(collect_sample(dataclasses.replace(config, trials=2)), pooled[:24])
+    for t in range(config.trials):
+        eigs, moments = pipeline.trial_spectrum(config, t, 0)
+        assert moments is None
+        assert np.array_equal(eigs, pooled[12 * t:12 * (t + 1)])
+        _, moments = pipeline.trial_spectrum(config, t, pipeline.MOMENT_PMAX)
+        assert np.array_equal(moments, trace_moment(product_chain(config, t),
+                                                    pipeline.MOMENT_PMAX))
     args = ["--n", "24", "--dims", "12,18,12", "--trials", "3", "--seed", "8"]
 
     eigs = tmp_path / "eigs.csv"

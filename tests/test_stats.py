@@ -57,7 +57,7 @@ class TestKsRadial:
         with pytest.raises(limit_law.DomainError):
             ks_radii_against_law(np.array([0.1, np.nan, 0.2]), RadialLaw((2.0, 2.0)))
 
-    def test_eigen_sample_small(self):
+    def test_pooled_matrix_spectrum_small(self):
         cfg = AspectConfig(n=240, dims=(120, 120), trials=5, master_seed=2)
         sam = collect_sample(cfg)
         rep = ks_radial(sam, RadialLaw(cfg.alphas))
@@ -103,7 +103,7 @@ class TestKsAngular:
             ks_angular(np.zeros(4, dtype=complex))
 
 
-class TestMomentReport:
+class TestTraceMoments:
     def test_analytic_values(self):
         assert analytic_moments(RadialLaw((2.0, 2.0)), 1)[0] == pytest.approx(0.25, abs=1e-12)
         assert analytic_moments(RadialLaw((3.0,)), 1)[0] == pytest.approx(1 / 3, abs=1e-12)
