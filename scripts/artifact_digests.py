@@ -70,6 +70,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
     args = ap.parse_args()
+    if args.threads < 1:  # checked before the pin, so no BLAS is set to it
+        ap.exit(2, f"artifact_digests: --threads must be >= 1, got {args.threads}\n")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ[var] = str(args.threads)
 

@@ -16,21 +16,23 @@ mean over j of the Beta survival functions.  It decays only like
 ~1/sqrt(m), which is what bounds the achievable pooled KS distance at desk
 scale.  For k > 1 that column is nan.
 
-Input that gives no valid run (a size that rounds m to 0, a ratio <= 1,
-k < 1) exits with code 2 and one line on stderr before anything is
-sampled, as the haarprod CLI does.
+Input that gives no valid run (a flag that does not parse, a size that
+rounds m to 0, a ratio <= 1, k < 1) exits with code 2 and one line on
+stderr before anything is sampled, and a numerical failure exits with
+code 1 and one line naming the seed and the trial, as the haarprod CLI
+does.
 """
 
-import argparse
 from dataclasses import replace
 
 import numpy as np
 from scipy.stats import beta
 
 from haarprod import AspectConfig, ConfigError
+from haarprod.cli import _Parser
 from haarprod.limit_law import RadialLaw
 from haarprod.pipeline import collect_sample
-from haarprod.spectra import polar
+from haarprod.spectra import NumericalError, polar
 from haarprod.stats import ks_angular, ks_radial
 
 
@@ -59,14 +61,14 @@ def studies(args) -> list[tuple[AspectConfig, RadialLaw]]:
 
 
 def main():
-    ap = argparse.ArgumentParser()
+    ap = _Parser()  # the CLI's parser: a flag that does not parse is one ConfigError
     ap.add_argument("--sizes", default="600,1200", help="comma-separated ambient sizes n")
     ap.add_argument("--ratio", type=float, default=2.0, help="aspect ratio n/m, > 1")
     ap.add_argument("--k", type=int, default=1, help="number of factors")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seeds", type=int, default=10)
-    args = ap.parse_args()
     try:
+        args = ap.parse_args()
         runs = studies(args)
     except ConfigError as exc:
         ap.exit(2, f"convergence_study: {exc}\n")
@@ -76,7 +78,10 @@ def main():
         n, m = cfg.n, cfg.dims[0]
         expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
         for seed in range(args.seeds):
-            eigs = collect_sample(replace(cfg, master_seed=seed))
+            try:
+                eigs = collect_sample(replace(cfg, master_seed=seed))
+            except NumericalError as exc:
+                ap.exit(1, f"convergence_study: numerical failure: {exc}\n")
             rad = ks_radial(eigs, law).statistic
             ang = ks_angular(eigs).statistic
             radii, _ = polar(eigs)

@@ -25,7 +25,7 @@ from . import limit_law, series, stats
 from .config import AspectConfig, ConfigError
 from .haar import product_chain, substream, trace_moment
 from .limit_law import RadialLaw
-from .spectra import check_radii, eigenvalues, polar
+from .spectra import NumericalError, check_radii, eigenvalues, polar
 
 SCHEMA_VERSION = 1
 # fixed analysis settings of `verify` and `series-check`
@@ -104,14 +104,17 @@ def trial_spectrum(config: AspectConfig, trial: int, p_max: int):
 
     The moments come from B's singular values, one SVD; p_max = 0 takes none
     and gives None.  B is built and dropped in here, so a caller holds one
-    trial's matrices at a time.  A numerical failure, a radius beyond the
-    unit disk included, names the seed and the trial.
+    trial's matrices at a time.  Here a failed trial (a LinAlgError of the
+    eigen-solver or the SVD, a radius beyond the unit disk) becomes one
+    NumericalError that names the seed and the trial.
     """
-    context = f"seed={config.master_seed} trial={trial}"
     b = product_chain(config, trial=trial)
-    eigs = eigenvalues(b, context=context)
-    check_radii(eigs, context)
-    return eigs, trace_moment(b, p_max) if p_max else None
+    try:
+        eigs = eigenvalues(b)
+        check_radii(eigs)
+        return eigs, trace_moment(b, p_max) if p_max else None
+    except (np.linalg.LinAlgError, NumericalError) as exc:
+        raise NumericalError(f"{exc} (seed={config.master_seed} trial={trial})") from exc
 
 
 def collect_sample(config: AspectConfig) -> np.ndarray:

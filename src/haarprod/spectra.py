@@ -1,6 +1,7 @@
 """Eigenvalues of product matrices; a pooled spectrum is the plain array of them.
 
-scipy rejects a malformed matrix (ValueError); a failed trial raises NumericalError.
+scipy rejects a malformed matrix (ValueError); its LinAlgError and this module's
+NumericalError get their seed and trial in `pipeline.trial_spectrum`.
 """
 
 from __future__ import annotations
@@ -14,25 +15,20 @@ RADIUS_SLACK = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """A trial's numerics failed: the eigen-solver, or a radius past the unit disk."""
+    """A trial's numerics failed: the eigen-solver, the SVD, or a radius past the unit disk."""
 
 
-def eigenvalues(b: np.ndarray, context: str = "") -> np.ndarray:
+def eigenvalues(b: np.ndarray) -> np.ndarray:
     """All eigenvalues (with multiplicity); scipy rejects a non-square or non-finite b."""
-    try:
-        return scipy.linalg.eigvals(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue iteration failed ({context})") from exc
+    return scipy.linalg.eigvals(b)
 
 
-def check_radii(eigs: np.ndarray, context: str) -> None:
-    """Reject a radius above 1 by more than the roundoff slack, naming `context`."""
+def check_radii(eigs: np.ndarray) -> None:
+    """Reject a radius above 1 by more than the roundoff slack."""
     radius = np.abs(eigs).max()
     if radius > 1.0 + RADIUS_SLACK:
         raise NumericalError(
-            f"eigenvalue radius {radius:.3e} exceeds 1 beyond "
-            f"roundoff slack ({context})"
-        )
+            f"eigenvalue radius {radius:.3e} exceeds 1 beyond roundoff slack")
 
 
 def polar(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -385,42 +385,53 @@ def test_every_invalid_flag_exits_2_with_one_line(tmp_path_factory, data, mode, 
 
 
 def fail_on_trial_1(monkeypatch, kind="radius"):
-    """Make trial 1 fail: its eigenvalues overflow the unit disk, or the eigen-solver fails."""
+    """Make trial 1 fail: its eigenvalues overflow the unit disk, or the eigen-solver or SVD fails."""
     calls = []
     if kind == "radius":
         real = pipeline.eigenvalues
 
-        def radius_overflow_on_trial_1(b, context=""):
-            eigs = real(b, context)
+        def radius_overflow_on_trial_1(b):
+            eigs = real(b)
             if len(calls) == 1:
                 eigs[0] = 1.1
-            calls.append(context)
+            calls.append(b.shape)
             return eigs
 
         monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
     else:
-        real = scipy.linalg.eigvals
+        module, name, message = {
+            "eigensolver": (scipy.linalg, "eigvals", "eigenvalues did not converge"),
+            "svd": (np.linalg, "svd", "SVD did not converge"),
+        }[kind]
+        real = getattr(module, name)
 
-        def eigensolver_fails_on_trial_1(*args, **kwargs):
+        def fails_on_trial_1(*args, **kwargs):
             calls.append(args)
             if len(calls) == 2:
-                raise np.linalg.LinAlgError("eigenvalues did not converge")
+                raise np.linalg.LinAlgError(message)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigvals", eigensolver_fails_on_trial_1)
+        monkeypatch.setattr(module, name, fails_on_trial_1)
 
 
-@pytest.mark.parametrize("mode, kind", [
-    ("verify", "radius"), ("sample-eigs", "radius"),
-    ("verify", "eigensolver"), ("sample-eigs", "eigensolver"),
-], ids=["verify", "sample-eigs", "verify-eigensolver", "sample-eigs-eigensolver"])
-def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode, kind):
+RADIUS_MESSAGE = "eigenvalue radius 1.100e+00 exceeds 1 beyond roundoff slack"
+
+
+# sample-eigs takes no SVD, so only verify has an svd case
+@pytest.mark.parametrize("mode, kind, message", [
+    ("verify", "radius", RADIUS_MESSAGE), ("sample-eigs", "radius", RADIUS_MESSAGE),
+    ("verify", "eigensolver", "eigenvalues did not converge"),
+    ("sample-eigs", "eigensolver", "eigenvalues did not converge"),
+    ("verify", "svd", "SVD did not converge"),
+], ids=["verify", "sample-eigs", "verify-eigensolver", "sample-eigs-eigensolver",
+        "verify-svd"])
+def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode, kind,
+                                                message):
     fail_on_trial_1(monkeypatch, kind)
     assert main([mode, "--n", "16", "--dims", "8,8", "--trials", "3", "--seed", "4",
                  "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("haarprod: numerical failure: ")
-    assert "seed=4" in line and "trial=1" in line
+    assert line == f"haarprod: numerical failure: {message} (seed=4 trial=1)"
 
 
 def test_failed_run_keeps_the_earlier_table(tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from haarprod import pipeline
+
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "convergence_study.py"
 
 
 def test_smallest_study_prints_header_and_one_row():
@@ -29,7 +33,10 @@ def test_smallest_study_prints_header_and_one_row():
     (["--k", "0"], "--k 0"),
     (["--ratio", "0"], "0.0"),
     (["--sizes", ""], "''"),
-], ids=["size-1", "ratio-1", "ratio-half", "k-0", "ratio-0", "sizes-empty"])
+    (["--ratio", "abc"], "'abc'"),
+    (["--k", "x"], "'x'"),
+], ids=["size-1", "ratio-1", "ratio-half", "k-0", "ratio-0", "sizes-empty", "ratio-abc",
+        "k-x"])
 def test_bad_input_exits_2_with_one_line(flags, named):
     run = subprocess.run([sys.executable, str(ROOT / "scripts" / "convergence_study.py"),
                           *flags, "--seeds", "1", "--trials", "1"],
@@ -39,3 +46,25 @@ def test_bad_input_exits_2_with_one_line(flags, named):
     assert run.stdout == ""
     [line] = run.stderr.splitlines()
     assert line.startswith("convergence_study: ") and named in line
+
+
+def test_numerical_failure_exits_1_with_one_line(monkeypatch, capsys):
+    # the fourth trial (seed 1, trial 1) overflows the unit disk
+    real, calls = pipeline.eigenvalues, []
+
+    def overflow_on_fourth_trial(b):
+        eigs = real(b)
+        calls.append(b.shape)
+        if len(calls) == 4:
+            eigs[0] = 1.1
+        return eigs
+
+    monkeypatch.setattr(pipeline, "eigenvalues", overflow_on_fourth_trial)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--sizes", "16", "--seeds", "2",
+                                      "--trials", "2"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exit_.value.code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("convergence_study: numerical failure: eigenvalue radius 1.100e+00 "
+                    "exceeds 1 beyond roundoff slack (seed=1 trial=1)")
