@@ -66,12 +66,19 @@ RUNS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in one stderr line and exits 2, instead of printing usage."""
+
+    def error(self, message):
+        self.exit(2, f"artifact_digests: {message}\n")
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = _Parser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
     args = ap.parse_args()
     if args.threads < 1:  # checked before the pin, so no BLAS is set to it
-        ap.exit(2, f"artifact_digests: --threads must be >= 1, got {args.threads}\n")
+        ap.error(f"--threads must be >= 1, got {args.threads}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ[var] = str(args.threads)
 

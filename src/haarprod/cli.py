@@ -3,6 +3,10 @@
 Modes: sample-eigs | analytic-cdf | exact-sample | verify | series-check.
 Parameters come from an optional JSON config file (--config) with flag
 overrides winning; HAARPROD_OUT sets the default output directory.
+Bad input (a ConfigError, an --out that cannot be written, sizes no
+allocation can hold) exits 2 and a spectra.NumericalError exits 1, each
+with one line on stderr; any other exception is a program bug and keeps
+its traceback.
 """
 
 from __future__ import annotations

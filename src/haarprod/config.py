@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
-    """Invalid dimension configuration."""
+    """Invalid outside input: a flag, a config value or an analytic-law alpha (exit 2)."""
 
 
 def checked_int(name: str, value) -> int:

@@ -33,19 +33,11 @@ _BISECTION_STEPS = 12
 _NEWTON_STEPS = 8
 
 
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class DegenerateLawError(ConfigError):
-    """Analytic law requested with some alpha <= 1 (some dim not below n) or not finite."""
-
-
 @dataclass(frozen=True)
 class RadialLaw:
     """Radial part of the limit law for aspect ratios alpha_1..alpha_k.
 
-    Every alpha must be finite and exceed 1 (DegenerateLawError otherwise).  The alphas keep
+    Every alpha must be finite and exceed 1 (ConfigError otherwise).  The alphas keep
     the order given: the law depends on them only through alpha_1 = max(alphas)
     and products symmetric in all of them.
     """
@@ -57,7 +49,7 @@ class RadialLaw:
         if len(alphas) < 1:
             raise ValueError("at least one aspect ratio required")
         if not all(1.0 < a < np.inf for a in alphas):  # also rejects NaN
-            raise DegenerateLawError(
+            raise ConfigError(
                 "the analytic law requires every alpha finite and > 1 (all dims strictly below n), "
                 f"got {alphas}; alpha = 1 is only supported by sample-eigs and exact-sample"
             )
@@ -116,7 +108,7 @@ def cdf_many(law: RadialLaw, t):
     """Radial CDF F(t) = 1 + S^{-1}(t^{-2}) elementwise over t >= 0, 0/1 off the support."""
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # also rejects NaN
-        raise DomainError("radius must be nonnegative, not NaN")
+        raise ValueError("radius must be nonnegative, not NaN")
     out = np.zeros(t.shape)
     out[t >= law.support_radius] = 1.0
     interior = (t > 0) & (t < law.support_radius)
@@ -148,7 +140,7 @@ def quantile(law: RadialLaw, p):
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise DomainError(f"probability must lie in [0, 1], got {p}")
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
     t = np.zeros(p.shape)
     t[p == 1.0] = law.support_radius
     inner = (p > 0.0) & (p < 1.0)
@@ -161,11 +153,11 @@ def exact_sample(alpha: float, k: int, count: int, rng: np.random.Generator) -> 
 
     Radius by the quantile of one uniform variate, then angle uniform on
     [0, 2*pi) independently; alpha = 1 degenerates to the unit circle, and
-    alpha < 1 or not finite raises DegenerateLawError (a ValueError).
+    alpha < 1 or not finite raises ConfigError (a ValueError).
     `rng.random` rejects a negative `count` (ValueError) before any draw.
     """
     if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     u = rng.random(count)
     r = np.ones(count) if alpha == 1.0 else quantile(RadialLaw((alpha,) * k), u)
     theta = rng.random(count) * 2.0 * np.pi

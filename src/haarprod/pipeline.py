@@ -105,8 +105,8 @@ def trial_spectrum(config: AspectConfig, trial: int, p_max: int):
     The moments come from B's singular values, one SVD; p_max = 0 takes none
     and gives None.  B is built and dropped in here, so a caller holds one
     trial's matrices at a time.  Here a failed trial (a LinAlgError of the
-    eigen-solver or the SVD, a radius beyond the unit disk) becomes one
-    NumericalError that names the seed and the trial.
+    eigen-solver or the SVD, a NaN radius or one beyond the unit disk) becomes
+    one NumericalError that names the seed and the trial.
     """
     b = product_chain(config, trial=trial)
     try:
@@ -186,21 +186,12 @@ def run_verify(cfg: AspectConfig):
     # ru_maxrss is in kilobytes on Linux
     meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-    def ks_dict(r):
-        return {
-            "label": r.label,
-            "statistic": r.statistic,
-            "sample_size": r.sample_size,
-            "dkw_threshold": r.threshold,
-            "pass": r.passed,
-        }
-
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": {**asdict(cfg), "alphas": cfg.alphas, "series_order": SERIES_ORDER},
         "support_radius": law.support_radius,
         "origin_eigenvalues": int(np.count_nonzero(eigs == 0)),
-        "ks": [ks_dict(radial), ks_dict(angular)],
+        "ks": [{**asdict(r), "pass": r.passed} for r in (radial, angular)],
         "moments": [asdict(r) for r in rows],
         "series_check": {
             "order": SERIES_ORDER,

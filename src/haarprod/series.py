@@ -12,10 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class SeriesError(ValueError):
-    """Operation undefined for the given series (bad leading coefficients)."""
-
-
 def series(coeffs, order: int) -> np.ndarray:
     """Build a series from low-order coefficients, zero-padded to `order`."""
     a = list(coeffs)[: order + 1]
@@ -31,7 +27,7 @@ def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated quotient a/b; the divisor must have a nonzero constant term."""
     if b[0] == 0.0:
-        raise SeriesError("divisor has a zero constant term")
+        raise ValueError("divisor has a zero constant term")
     order = min(len(a), len(b)) - 1
     q = np.zeros(order + 1)
     for j in range(order + 1):
@@ -45,7 +41,7 @@ def moments_from_s(s: np.ndarray) -> list[float]:
     M^{-1}(z) = z S(z)/(1+z), so Lagrange inversion gives
     m_p = (1/p) [z^{p-1}] h(z)^p with h = (1+z)/S(z).  m_p reads s only
     up to z^{p-1}.  An s with a zero constant term has no h, and
-    `series_div` rejects it with a SeriesError.
+    `series_div` rejects it with a ValueError.
     """
     order = len(s) - 1
     h = series_div(series([1.0, 1.0], order), s)

@@ -15,7 +15,7 @@ RADIUS_SLACK = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """A trial's numerics failed: the eigen-solver, the SVD, or a radius past the unit disk."""
+    """A trial's numerics failed: the eigen-solver, the SVD, or a NaN radius or one past 1."""
 
 
 def eigenvalues(b: np.ndarray) -> np.ndarray:
@@ -24,9 +24,9 @@ def eigenvalues(b: np.ndarray) -> np.ndarray:
 
 
 def check_radii(eigs: np.ndarray) -> None:
-    """Reject a radius above 1 by more than the roundoff slack."""
+    """Reject a radius above 1 by more than the roundoff slack, or a NaN radius."""
     radius = np.abs(eigs).max()
-    if radius > 1.0 + RADIUS_SLACK:
+    if not radius <= 1.0 + RADIUS_SLACK:  # also rejects NaN
         raise NumericalError(
             f"eigenvalue radius {radius:.3e} exceeds 1 beyond roundoff slack")
 

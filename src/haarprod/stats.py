@@ -19,14 +19,18 @@ class KsReport:
     only.  Against the limit law the statistic also carries the
     finite-size model bias, which at m = 600 (k = 1, alpha = 2) is at
     least the 0.023 edge mass; the acceptance suite measures that bias
-    against the exact finite-n law.
+    against the exact finite-n law.  The fields are the `verify` report's
+    `ks` keys; `passed` is its "pass".
     """
 
+    label: str
     statistic: float
     sample_size: int
-    threshold: float
-    passed: bool
-    label: str
+    dkw_threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.dkw_threshold
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,8 @@ def ks_angular(eigs: np.ndarray, delta: float = 0.001) -> KsReport:
 def _ks_report(values: np.ndarray, model_cdf, delta: float, label: str) -> KsReport:
     """KS statistic of `values` against a vectorised model CDF, with its DKW threshold."""
     values = np.sort(values)
-    stat = ks_statistic(values, model_cdf(values))
-    thr = dkw_threshold(len(values), delta)
-    return KsReport(stat, len(values), thr, stat <= thr, label)
+    return KsReport(label, ks_statistic(values, model_cdf(values)), len(values),
+                    dkw_threshold(len(values), delta))
 
 
 def analytic_moments(law: RadialLaw, p_max: int) -> list[float]:

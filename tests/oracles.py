@@ -20,8 +20,8 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion, rs_series_rever
 from sympy.polys.rings import ring
 
 from haarprod.haar import sample_ginibre
-from haarprod.limit_law import DomainError, RadialLaw
-from haarprod.series import SeriesError, series
+from haarprod.limit_law import RadialLaw
+from haarprod.series import series
 
 _R, _z, _y = ring("z, y", QQ)
 
@@ -29,7 +29,7 @@ _R, _z, _y = ring("z, y", QQ)
 def s_eval(law: RadialLaw, w: float) -> float:
     """Evaluate S(w) for w in (-1, 0]; strictly decreasing, S(0)=prod(alpha)."""
     if not (-1.0 < w <= 0.0):
-        raise DomainError(f"w must lie in (-1, 0], got {w}")
+        raise ValueError(f"w must lie in (-1, 0], got {w}")
     a = np.asarray(law.alphas)
     a1 = max(law.alphas)
     return float(np.prod(a * (a1 + w) / (a1 + a * w)))
@@ -38,9 +38,9 @@ def s_eval(law: RadialLaw, w: float) -> float:
 def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
     """Closed-form radial CDF (alpha-1) t^{2/k} / (1 - t^{2/k}) on the support."""
     if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
     if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     edge = alpha ** (-k / 2.0)
     t = float(t)
     if t <= 0.0:
@@ -54,9 +54,9 @@ def cdf_equal_alpha(alpha: float, k: int, t: float) -> float:
 def pdf_equal_alpha(alpha: float, k: int, t):
     """Closed-form radial density 2(alpha-1)/k * t^{2/k-1} / (1-t^{2/k})^2, elementwise over t."""
     if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
     if k < 1:
-        raise DomainError(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
     inside = (t > 0.0) & (t < alpha ** (-k / 2.0))
@@ -83,9 +83,9 @@ def m_from_moments(moments, order: int) -> np.ndarray:
 def s_transform_of(m: np.ndarray) -> np.ndarray:
     """S(z) = (1+z)/z * M^{-1}(z), as a series of order N-1."""
     if m[0] != 0.0:
-        raise SeriesError("moment series must have zero constant term")
+        raise ValueError("moment series must have zero constant term")
     if m[1] == 0.0:
-        raise SeriesError("S-transform requires a nonzero first moment")
+        raise ValueError("S-transform requires a nonzero first moment")
     q = np.array([float(c) for c in _reversion(_exact(m), len(m))])
     return q[:-1] + q[1:]
 

@@ -8,11 +8,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_digests(threads="1") -> subprocess.CompletedProcess:
+def run_digests(threads="1", *extra) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digests.py"),
-                           "--threads", threads], env=env, capture_output=True, text=True,
-                          timeout=600)
+                           "--threads", threads, *extra], env=env, capture_output=True,
+                          text=True, timeout=600)
 
 
 def test_every_mode_reruns_byte_identically():
@@ -36,3 +36,14 @@ def test_thread_count_below_1_exits_2_with_one_line(threads):
     assert run.stdout == ""
     [line] = run.stderr.splitlines()
     assert line == f"artifact_digests: --threads must be >= 1, got {threads}"
+
+
+# a thread count that does not parse and an unknown flag: argparse's own errors
+@pytest.mark.parametrize("threads, extra", [("x", []), ("1", ["--bogus"])],
+                         ids=["threads-x", "unknown-flag"])
+def test_bad_flag_exits_2_with_one_line(threads, extra):
+    run = run_digests(threads, *extra)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("artifact_digests: ")

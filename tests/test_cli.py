@@ -48,10 +48,15 @@ class TestAnalyticCdf:
         header, _ = read_csv(out)
         assert header == ["t", "cdf"]
 
-    def test_degenerate_alpha_rejected(self, tmp_path):
-        rc = main(["analytic-cdf", "--n", "8", "--dims", "8,8",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+    # every mode that builds the analytic law rejects alpha = 1 (dims 8,8 at n = 8)
+    @pytest.mark.parametrize("mode", ["analytic-cdf", "series-check", "verify"])
+    def test_degenerate_alpha_rejected(self, tmp_path, capsys, monkeypatch, mode):
+        calls = count_product_chain(monkeypatch)
+        assert_one_line_exit_2(
+            [mode, "--n", "8", "--dims", "8,8", "--out", str(tmp_path / "x")], capsys,
+            prefix="haarprod: config error: the analytic law requires every alpha")
+        assert list(tmp_path.iterdir()) == []
+        assert calls == []  # verify rejects the law before the first trial
 
 
 class TestSampleEigs:
@@ -261,6 +266,18 @@ def test_unsorted_middle_dims_run_without_warning(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def count_product_chain(monkeypatch) -> list:
+    """Record the arguments of every `pipeline.product_chain` call in the returned list."""
+    calls = []
+
+    def counted_product_chain(*args, **kwargs):
+        calls.append(args)
+        return product_chain(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "product_chain", counted_product_chain)
+    return calls
+
+
 def assert_one_line_exit_2(argv, capsys, prefix):
     assert main(argv) == 2
     [line] = capsys.readouterr().err.splitlines()
@@ -312,13 +329,7 @@ UNUSABLE_OUT = {"under-a-file": ("file/out", None), "a-directory": (".", None),
     ("sample-eigs", "tmp-a-directory"),
 ])
 def test_unusable_out_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mode, where):
-    calls = []
-
-    def counted_product_chain(*args, **kwargs):
-        calls.append(args)
-        return product_chain(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "product_chain", counted_product_chain)
+    calls = count_product_chain(monkeypatch)
     (tmp_path / "file").write_text("")
     out, in_the_way = UNUSABLE_OUT[where]
     expected = ["file"]
@@ -385,19 +396,19 @@ def test_every_invalid_flag_exits_2_with_one_line(tmp_path_factory, data, mode, 
 
 
 def fail_on_trial_1(monkeypatch, kind="radius"):
-    """Make trial 1 fail: its eigenvalues overflow the unit disk, or the eigen-solver or SVD fails."""
+    """Make trial 1 fail: an eigenvalue past the unit disk or NaN, or the eigen-solver or SVD."""
     calls = []
-    if kind == "radius":
+    if kind in ("radius", "nan"):
         real = pipeline.eigenvalues
 
-        def radius_overflow_on_trial_1(b):
+        def bad_radius_on_trial_1(b):
             eigs = real(b)
             if len(calls) == 1:
-                eigs[0] = 1.1
+                eigs[0] = 1.1 if kind == "radius" else np.nan
             calls.append(b.shape)
             return eigs
 
-        monkeypatch.setattr(pipeline, "eigenvalues", radius_overflow_on_trial_1)
+        monkeypatch.setattr(pipeline, "eigenvalues", bad_radius_on_trial_1)
     else:
         module, name, message = {
             "eigensolver": (scipy.linalg, "eigvals", "eigenvalues did not converge"),
@@ -415,16 +426,18 @@ def fail_on_trial_1(monkeypatch, kind="radius"):
 
 
 RADIUS_MESSAGE = "eigenvalue radius 1.100e+00 exceeds 1 beyond roundoff slack"
+NAN_MESSAGE = "eigenvalue radius nan exceeds 1 beyond roundoff slack"
 
 
 # sample-eigs takes no SVD, so only verify has an svd case
 @pytest.mark.parametrize("mode, kind, message", [
     ("verify", "radius", RADIUS_MESSAGE), ("sample-eigs", "radius", RADIUS_MESSAGE),
+    ("verify", "nan", NAN_MESSAGE), ("sample-eigs", "nan", NAN_MESSAGE),
     ("verify", "eigensolver", "eigenvalues did not converge"),
     ("sample-eigs", "eigensolver", "eigenvalues did not converge"),
     ("verify", "svd", "SVD did not converge"),
-], ids=["verify", "sample-eigs", "verify-eigensolver", "sample-eigs-eigensolver",
-        "verify-svd"])
+], ids=["verify", "sample-eigs", "verify-nan", "sample-eigs-nan", "verify-eigensolver",
+        "sample-eigs-eigensolver", "verify-svd"])
 def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, mode, kind,
                                                 message):
     fail_on_trial_1(monkeypatch, kind)
