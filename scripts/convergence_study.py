@@ -17,10 +17,11 @@ mean over j of the Beta survival functions.  It decays only like
 scale.  For k > 1 that column is nan.
 
 Input that gives no valid run (a flag that does not parse, a size that
-rounds m to 0, a ratio <= 1, k < 1) exits with code 2 and one line on
-stderr before anything is sampled, and a numerical failure exits with
-code 1 and one line naming the seed and the trial, as the haarprod CLI
-does.
+rounds m to 0, a ratio <= 1, k < 1, seeds < 1) exits with code 2 and one
+line on stderr before anything is sampled.  Sizes the run record admits
+but no allocation can hold also exit 2 with one line, once sampling
+starts.  A numerical failure exits with code 1 and one line naming the
+seed and the trial, as the haarprod CLI does.
 """
 
 from dataclasses import replace
@@ -31,9 +32,8 @@ from scipy.stats import beta
 from haarprod import AspectConfig, ConfigError
 from haarprod.cli import _Parser
 from haarprod.limit_law import RadialLaw
-from haarprod.pipeline import collect_sample
-from haarprod.spectra import NumericalError, polar
-from haarprod.stats import ks_angular, ks_radial
+from haarprod.pipeline import NumericalError, collect_sample
+from haarprod.stats import ks_angular, ks_radial, polar
 
 
 def expected_fraction_outside(m: int, n: int) -> float:
@@ -49,6 +49,8 @@ def studies(args) -> list[tuple[AspectConfig, RadialLaw]]:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if not args.ratio > 1:
         raise ConfigError(f"--ratio must be > 1, got {args.ratio!r}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out = []
     for n in sizes:
         dims = (round(n / args.ratio),) * (args.k + 1)
@@ -74,20 +76,22 @@ def main():
         ap.exit(2, f"convergence_study: {exc}\n")
 
     print("n,m,seed,radial_ks,angular_ks,expected_frac_outside,frac_outside,max_overshoot")
-    for cfg, law in runs:
-        n, m = cfg.n, cfg.dims[0]
-        expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
-        for seed in range(args.seeds):
-            try:
+    try:
+        for cfg, law in runs:
+            n, m = cfg.n, cfg.dims[0]
+            expected = expected_fraction_outside(m, n) if args.k == 1 else float("nan")
+            for seed in range(args.seeds):
                 eigs = collect_sample(replace(cfg, master_seed=seed))
-            except NumericalError as exc:
-                ap.exit(1, f"convergence_study: numerical failure: {exc}\n")
-            rad = ks_radial(eigs, law).statistic
-            ang = ks_angular(eigs).statistic
-            radii, _ = polar(eigs)
-            frac = float(np.mean(radii > law.support_radius))
-            over = float(radii.max() - law.support_radius)
-            print(f"{n},{m},{seed},{rad:.5f},{ang:.5f},{expected:.5f},{frac:.5f},{over:.5f}")
+                rad = ks_radial(eigs, law).statistic
+                ang = ks_angular(eigs).statistic
+                radii, _ = polar(eigs)
+                frac = float(np.mean(radii > law.support_radius))
+                over = float(radii.max() - law.support_radius)
+                print(f"{n},{m},{seed},{rad:.5f},{ang:.5f},{expected:.5f},{frac:.5f},{over:.5f}")
+    except MemoryError as exc:  # sizes the record admits but no allocation can hold
+        ap.exit(2, f"convergence_study: sizes too large for this machine: {exc}\n")
+    except NumericalError as exc:
+        ap.exit(1, f"convergence_study: numerical failure: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Modes: sample-eigs | analytic-cdf | exact-sample | verify | series-check.
 Parameters come from an optional JSON config file (--config) with flag
 overrides winning; HAARPROD_OUT sets the default output directory.
 Bad input (a ConfigError, an --out that cannot be written, sizes no
-allocation can hold) exits 2 and a spectra.NumericalError exits 1, each
+allocation can hold) exits 2 and a pipeline.NumericalError exits 1, each
 with one line on stderr; any other exception is a program bug and keeps
 its traceback.
 """
@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .config import AspectConfig, ConfigError
 from .pipeline import (
+    NumericalError,
     run_analytic_cdf,
     run_exact_sample,
     run_sample_eigs,
@@ -28,7 +29,6 @@ from .pipeline import (
     write_verify,
     written_paths,
 )
-from .spectra import NumericalError
 
 # JSON config keys and flag dests: the AspectConfig fields, which check their own types
 CONFIG_KEYS = [field.name for field in dataclasses.fields(AspectConfig)]

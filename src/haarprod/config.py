@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import sys
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 
@@ -49,10 +50,10 @@ class AspectConfig:
     grid_points: int = 256
 
     def __post_init__(self):
-        try:
-            dims = tuple(checked_int(f"dims[{i}]", d) for i, d in enumerate(self.dims))
-        except TypeError:  # not iterable
-            raise ConfigError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        # a string or a mapping would iterate by character or by key
+        if isinstance(self.dims, (str, Mapping)) or not isinstance(self.dims, Iterable):
+            raise ConfigError(f"dims must be a sequence of integers, got {self.dims!r}")
+        dims = tuple(checked_int(f"dims[{i}]", d) for i, d in enumerate(self.dims))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "n", checked_int("n", self.n))
         if self.n < 1:

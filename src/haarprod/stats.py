@@ -1,4 +1,4 @@
-"""KS comparison of empirical spectra against the analytic limit law."""
+"""KS comparison of empirical spectra against the limit law, in the one `polar` convention."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from . import limit_law, series
 from .limit_law import RadialLaw
-from .spectra import polar
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,13 @@ class MomentRow:
     z_score: float | None  # None for one trial or zero spread
 
 
+def polar(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |lambda| clipped to 1, and angles in [0, 2*pi) that are 0 at the origin."""
+    angles = np.mod(np.angle(eigs), 2 * np.pi)
+    angles[eigs == 0] = 0.0
+    return np.minimum(np.abs(eigs), 1.0), angles
+
+
 def dkw_threshold(sample_size: int, delta: float) -> float:
     if sample_size < 1:
         raise ValueError("empty sample")
@@ -71,7 +77,7 @@ def ks_statistic(values: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def ks_radial(eigs: np.ndarray, law: RadialLaw, delta: float = 0.001) -> KsReport:
-    """KS distance of pooled eigenvalues' radii (`spectra.polar`) against the radial CDF."""
+    """KS distance of pooled eigenvalues' radii (`polar`) against the radial CDF."""
     return ks_radii_against_law(polar(eigs)[0], law, delta)
 
 
@@ -82,7 +88,7 @@ def ks_radii_against_law(radii: np.ndarray, law: RadialLaw, delta: float = 0.001
 
 
 def ks_angular(eigs: np.ndarray, delta: float = 0.001) -> KsReport:
-    """KS distance of pooled eigenvalues' angles (`spectra.polar`) against Uniform[0, 2*pi).
+    """KS distance of pooled eigenvalues' angles (`polar`) against Uniform[0, 2*pi).
 
     Eigenvalues at the origin have no angle and are excluded; if none is
     left, `ks_statistic` rejects the empty sample with a ValueError.

@@ -25,8 +25,7 @@ from haarprod.haar import haar_unitary, product_chain, substream, trace_moment
 from haarprod.limit_law import RadialLaw, cdf_many, exact_sample, quantile
 from haarprod.pipeline import collect_sample
 from haarprod.series import moments_from_s, scaled_s_check, series, theorem_s_series
-from haarprod.spectra import polar
-from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_rows
+from haarprod.stats import ks_angular, ks_radial, ks_radii_against_law, moment_rows, polar
 from oracles import cdf_equal_alpha, s_transform_of
 
 

@@ -14,8 +14,7 @@ from haarprod import AspectConfig, RadialLaw, pipeline
 from haarprod.cli import DEFAULT_OUT_NAME, main
 from haarprod.haar import product_chain, trace_moment
 from haarprod.pipeline import collect_sample
-from haarprod.spectra import polar
-from haarprod.stats import ks_radial
+from haarprod.stats import ks_radial, polar
 
 
 def read_csv(path):
@@ -234,25 +233,28 @@ class TestConfigHandling:
         assert main(["series-check", "--n", "8", "--dims", "4,4"]) == 0
         assert (tmp_path / "series_check.csv").exists()
 
-    @pytest.mark.parametrize("content", [
-        None,  # no file at all
-        '{"n": 8, "dims": [4, 4]',
-        '{"n": "8", "dims": [4, 4]}',
-        '[1, 2]',
-        '{"n": 8, "dims": [4.5, 4.5]}',
-        '{"n": 8, "dims": 4}',
-        '{"n": 8, "dims": [4, 4], "trials": true}',
-        '{"n": 8, "dims": [4, 4], "delta": "0.01"}',
+    @pytest.mark.parametrize("content, named", [
+        (None, "cannot read config file"),  # no file at all
+        ('{"n": 8, "dims": [4, 4]', "cannot read config file"),
+        ('{"n": "8", "dims": [4, 4]}', "n must be an integer, got '8'"),
+        ('[1, 2]', "must hold a JSON object"),
+        ('{"n": 8, "dims": [4.5, 4.5]}', "dims[0] must be an integer, got 4.5"),
+        ('{"n": 8, "dims": 4}', "dims must be a sequence of integers, got 4"),
+        ('{"n": 8, "dims": [4, 4], "trials": true}', "trials must be an integer, got True"),
+        ('{"n": 8, "dims": [4, 4], "delta": "0.01"}', "delta must be a real number"),
+        # a string or an object must not be read character by character or key by key
+        ('{"n": 40, "dims": "20,20"}', "dims must be a sequence of integers, got '20,20'"),
+        ('{"n": 40, "dims": {"a": 20}}', "dims must be a sequence of integers, got {'a': 20}"),
     ], ids=["missing", "malformed-json", "string-n", "not-an-object", "float-dims",
-            "scalar-dims", "bool-trials", "string-delta"])
-    def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, content):
+            "scalar-dims", "bool-trials", "string-delta", "string-dims", "object-dims"])
+    def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, content, named):
         cfgfile = tmp_path / "cfg.json"
         if content is not None:
             cfgfile.write_text(content)
         assert main(["sample-eigs", "--config", str(cfgfile),
                      "--out", str(tmp_path / "x.csv")]) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("haarprod: config error: ")
+        assert line.startswith("haarprod: config error: ") and named in line
 
 
 def test_unsorted_middle_dims_run_without_warning(tmp_path, capsys):
@@ -445,6 +447,26 @@ def test_numerical_failure_names_seed_and_trial(tmp_path, capsys, monkeypatch, m
                  "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line == f"haarprod: numerical failure: {message} (seed=4 trial=1)"
+
+
+@pytest.mark.parametrize("slacks, code, err", [
+    (0.5, 0, ""),
+    (2.0, 1, "haarprod: numerical failure: eigenvalue radius 1.000e+00 exceeds 1 "
+             "beyond roundoff slack (seed=4 trial=0)\n"),
+], ids=["within-slack", "past-slack"])
+def test_radius_roundoff_slack(tmp_path, capsys, monkeypatch, slacks, code, err):
+    # every trial's largest radius is 1 + slacks * RADIUS_SLACK
+    real = pipeline.eigenvalues
+
+    def with_radius(b):
+        eigs = real(b)
+        eigs[0] = 1.0 + slacks * pipeline.RADIUS_SLACK
+        return eigs
+
+    monkeypatch.setattr(pipeline, "eigenvalues", with_radius)
+    assert main(["sample-eigs", "--n", "16", "--dims", "8,8", "--trials", "2", "--seed", "4",
+                 "--out", str(tmp_path / "eigs.csv")]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_failed_run_keeps_the_earlier_table(tmp_path, monkeypatch):

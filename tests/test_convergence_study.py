@@ -10,6 +10,7 @@ from haarprod import pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "convergence_study.py"
+HEADER = "n,m,seed,radial_ks,angular_ks,expected_frac_outside,frac_outside,max_overshoot"
 
 
 def test_smallest_study_prints_header_and_one_row():
@@ -19,8 +20,7 @@ def test_smallest_study_prints_header_and_one_row():
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     header, *rows = run.stdout.splitlines()
-    assert header == ("n,m,seed,radial_ks,angular_ks,expected_frac_outside,"
-                      "frac_outside,max_overshoot")
+    assert header == HEADER
     [row] = rows
     fields = row.split(",")
     assert fields[:3] == ["40", "20", "0"] and len(fields) == 8
@@ -35,17 +35,33 @@ def test_smallest_study_prints_header_and_one_row():
     (["--sizes", ""], "''"),
     (["--ratio", "abc"], "'abc'"),
     (["--k", "x"], "'x'"),
+    (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["--seeds", "-1"], "--seeds must be at least 1, got -1"),
 ], ids=["size-1", "ratio-1", "ratio-half", "k-0", "ratio-0", "sizes-empty", "ratio-abc",
-        "k-x"])
+        "k-x", "seeds-0", "seeds-negative"])
 def test_bad_input_exits_2_with_one_line(flags, named):
+    # the case's flags come last, so they win over the defaults before them
     run = subprocess.run([sys.executable, str(ROOT / "scripts" / "convergence_study.py"),
-                          *flags, "--seeds", "1", "--trials", "1"],
+                          "--seeds", "1", "--trials", "1", *flags],
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 2
     assert run.stdout == ""
     [line] = run.stderr.splitlines()
     assert line.startswith("convergence_study: ") and named in line
+
+
+def test_unallocatable_size_exits_2_with_one_line():
+    # n = 5e17 and m = 1 pass the record's size check, but a factor's n x 1
+    # draw (8 EB) is more than any machine can allocate
+    run = subprocess.run([sys.executable, str(SCRIPT), "--sizes", str(5 * 10**17),
+                          "--ratio", str(5 * 10**17), "--seeds", "1", "--trials", "1"],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert run.stdout.splitlines() == [HEADER]
+    [line] = run.stderr.splitlines()
+    assert line.startswith("convergence_study: sizes too large for this machine: ")
 
 
 def test_numerical_failure_exits_1_with_one_line(monkeypatch, capsys):

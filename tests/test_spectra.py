@@ -4,8 +4,8 @@ import sympy
 
 from haarprod import AspectConfig
 from haarprod.haar import product_chain, substream
-from haarprod.pipeline import collect_sample
-from haarprod.spectra import eigenvalues, polar
+from haarprod.pipeline import collect_sample, eigenvalues
+from haarprod.stats import polar
 
 
 def sorted_by_angle_then_mod(vals):
