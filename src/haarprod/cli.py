@@ -3,10 +3,7 @@
 Modes: sample-eigs | analytic-cdf | exact-sample | verify | series-check.
 Parameters come from an optional JSON config file (--config) with flag
 overrides winning; HAARPROD_OUT sets the default output directory.
-Bad input (a ConfigError, an --out that cannot be written, sizes no
-allocation can hold) exits 2 and a pipeline.NumericalError exits 1, each
-with one line on stderr; any other exception is a program bug and keeps
-its traceback.
+Exit codes and their one stderr line come from `exit_code`.
 """
 
 from __future__ import annotations
@@ -110,8 +107,32 @@ def resolve_out(args) -> Path:
     return base / DEFAULT_OUT_NAME[args.mode]
 
 
-def main(argv=None) -> int:
+def exit_code(prog: str, run) -> int:
+    """Call `run()` and give the exit code: 0 if it returns.
+
+    Bad input (a ConfigError, an output that cannot be written, sizes no
+    allocation can hold) gives 2 and a pipeline.NumericalError 1, each with one
+    `prog: …` line on stderr; any other exception is a bug and keeps its traceback.
+    """
     try:
+        run()
+    except ConfigError as exc:
+        print(f"{prog}: config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"{prog}: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes the record admits but no allocation can hold
+        print(f"{prog}: config error: sizes too large for this machine: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"{prog}: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(argv=None) -> int:
+    def run():
         args = build_parser().parse_args(argv)
         cfg = load_config(args)
         out = resolve_out(args)
@@ -129,20 +150,7 @@ def main(argv=None) -> int:
             write_verify(cfg, out)
         elif args.mode == "series-check":
             run_series_check(cfg, out)
-    except ConfigError as exc:
-        print(f"haarprod: config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"haarprod: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # sizes the record admits but no allocation can hold
-        print(f"haarprod: config error: sizes too large for this machine: {exc}",
-              file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"haarprod: numerical failure: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return exit_code("haarprod", run)
 
 
 if __name__ == "__main__":

@@ -132,9 +132,14 @@ def trial_spectrum(config: AspectConfig, trial: int, p_max: int):
         raise NumericalError(f"{exc} (seed={config.master_seed} trial={trial})") from exc
 
 
-def collect_sample(config: AspectConfig) -> np.ndarray:
-    """Eigenvalues of the `config.trials` product-chain draws, concatenated in trial order."""
-    return np.concatenate([trial_spectrum(config, t, 0)[0] for t in range(config.trials)])
+def collect_sample(config: AspectConfig, p_max: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one loop over a config's trials, in trial order: pooled eigenvalues and moments.
+
+    The moments are the (trials, p_max) table of trace moments for p_max > 0;
+    p_max = 0 takes no SVD and gives None.
+    """
+    spectra, moments = zip(*[trial_spectrum(config, t, p_max) for t in range(config.trials)])
+    return np.concatenate(spectra), np.array(moments) if p_max else None
 
 
 def _point_columns(z: np.ndarray) -> dict:
@@ -144,7 +149,7 @@ def _point_columns(z: np.ndarray) -> dict:
 
 
 def run_sample_eigs(cfg: AspectConfig, out_path) -> None:
-    eigs = collect_sample(cfg)
+    eigs, _ = collect_sample(cfg)
     write_table(out_path, {"trial": np.repeat(np.arange(cfg.trials), cfg.out_dim),
                            **_point_columns(eigs)})
 
@@ -191,14 +196,13 @@ def run_verify(cfg: AspectConfig):
     meta = {"timestamp": time.time(), "wall_clock_s": {}, "environment": environment()}
 
     t0 = time.perf_counter()
-    spectra, moments = zip(*(trial_spectrum(cfg, t, MOMENT_PMAX) for t in range(cfg.trials)))
-    eigs = np.concatenate(spectra)
+    eigs, moments = collect_sample(cfg, MOMENT_PMAX)
     meta["wall_clock_s"]["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     radial = stats.ks_radial(eigs, law, cfg.delta)
     angular = stats.ks_angular(eigs, cfg.delta)
-    rows = stats.moment_rows(np.array(moments), law)
+    rows = stats.moment_rows(moments, law)
     resid = series_residuals(cfg.alphas, SERIES_ORDER)
     meta["wall_clock_s"]["analysis"] = time.perf_counter() - t0
     # ru_maxrss is in kilobytes on Linux

@@ -175,7 +175,7 @@ def equal_alpha_study():
         entry = {"seed": seed}
         for tag, n in STUDY_SIZES:
             cfg = AspectConfig(n=n, dims=(n // 2, n // 2), trials=20, master_seed=seed)
-            sam = collect_sample(cfg)
+            sam, _ = collect_sample(cfg)
             entry[tag] = {
                 "radial": ks_radial(sam, law).statistic,
                 "angular": ks_angular(sam).statistic,
@@ -190,7 +190,7 @@ def unequal_alpha_run():
     """n=1800, dims=(900,1200,900): k=2, alphas=(2, 1.5), 10 trials."""
     cfg = AspectConfig(n=1800, dims=(900, 1200, 900), trials=10, master_seed=0)
     law = RadialLaw(cfg.alphas)
-    sam = collect_sample(cfg)
+    sam, _ = collect_sample(cfg)
     return {"config": cfg, "law": law, "sample": sam, "radial": ks_radial(sam, law).statistic}
 
 

@@ -544,9 +544,11 @@ def test_holds_one_trial_at_a_time(consumer):
 
 def test_every_consumer_sees_the_same_draws(tmp_path):
     config = AspectConfig(n=24, dims=(12, 18, 12), trials=3, master_seed=8)
-    pooled = collect_sample(config)
+    pooled, no_moments = collect_sample(config)
+    assert no_moments is None
     # a trial's draw does not depend on how many trials follow it
-    assert np.array_equal(collect_sample(dataclasses.replace(config, trials=2)), pooled[:24])
+    assert np.array_equal(collect_sample(dataclasses.replace(config, trials=2))[0], pooled[:24])
+    _, table = collect_sample(config, pipeline.MOMENT_PMAX)
     for t in range(config.trials):
         eigs, moments = pipeline.trial_spectrum(config, t, 0)
         assert moments is None
@@ -554,6 +556,7 @@ def test_every_consumer_sees_the_same_draws(tmp_path):
         _, moments = pipeline.trial_spectrum(config, t, pipeline.MOMENT_PMAX)
         assert np.array_equal(moments, trace_moment(product_chain(config, t),
                                                     pipeline.MOMENT_PMAX))
+        assert np.array_equal(moments, table[t])
     args = ["--n", "24", "--dims", "12,18,12", "--trials", "3", "--seed", "8"]
 
     eigs = tmp_path / "eigs.csv"
@@ -569,3 +572,5 @@ def test_every_consumer_sees_the_same_draws(tmp_path):
     assert radial["statistic"] == expected.statistic
     assert radial["sample_size"] == expected.sample_size
     assert report["origin_eigenvalues"] == int(np.count_nonzero(pooled == 0))
+    for p, row in enumerate(report["moments"], start=1):
+        assert row["empirical_mean"] == table[:, p - 1].mean()

@@ -11,13 +11,16 @@ from haarprod import pipeline
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "convergence_study.py"
 HEADER = "n,m,seed,radial_ks,angular_ks,expected_frac_outside,frac_outside,max_overshoot"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def run_study(*flags):
+    return subprocess.run([sys.executable, str(SCRIPT), *flags],
+                          env=ENV, capture_output=True, text=True, timeout=300)
 
 
 def test_smallest_study_prints_header_and_one_row():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "convergence_study.py"),
-                          "--sizes", "40", "--seeds", "1", "--trials", "2"],
-                         env=env, capture_output=True, text=True, timeout=300)
+    run = run_study("--sizes", "40", "--seeds", "1", "--trials", "2")
     assert run.returncode == 0, run.stderr
     header, *rows = run.stdout.splitlines()
     assert header == HEADER
@@ -41,27 +44,35 @@ def test_smallest_study_prints_header_and_one_row():
         "k-x", "seeds-0", "seeds-negative"])
 def test_bad_input_exits_2_with_one_line(flags, named):
     # the case's flags come last, so they win over the defaults before them
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "convergence_study.py"),
-                          "--seeds", "1", "--trials", "1", *flags],
-                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                         capture_output=True, text=True, timeout=300)
+    run = run_study("--seeds", "1", "--trials", "1", *flags)
     assert run.returncode == 2
     assert run.stdout == ""
     [line] = run.stderr.splitlines()
-    assert line.startswith("convergence_study: ") and named in line
+    assert line.startswith("convergence_study: config error: ") and named in line
 
 
 def test_unallocatable_size_exits_2_with_one_line():
     # n = 5e17 and m = 1 pass the record's size check, but a factor's n x 1
     # draw (8 EB) is more than any machine can allocate
-    run = subprocess.run([sys.executable, str(SCRIPT), "--sizes", str(5 * 10**17),
-                          "--ratio", str(5 * 10**17), "--seeds", "1", "--trials", "1"],
-                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                         capture_output=True, text=True, timeout=300)
+    run = run_study("--sizes", str(5 * 10**17), "--ratio", str(5 * 10**17),
+                    "--seeds", "1", "--trials", "1")
     assert run.returncode == 2
     assert run.stdout.splitlines() == [HEADER]
     [line] = run.stderr.splitlines()
-    assert line.startswith("convergence_study: sizes too large for this machine: ")
+    assert line.startswith("convergence_study: config error: sizes too large for this machine: ")
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    # 3000 rows are more than the pipe and stdout's buffer hold, so the
+    # study is still writing when the reader goes away
+    with subprocess.Popen([sys.executable, str(SCRIPT), "--sizes", "16", "--seeds", "3000",
+                           "--trials", "1"], env=ENV, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == HEADER + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 2
+    assert err.splitlines() == ["convergence_study: cannot write output: [Errno 32] Broken pipe"]
 
 
 def test_numerical_failure_exits_1_with_one_line(monkeypatch, capsys):

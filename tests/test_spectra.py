@@ -47,18 +47,18 @@ class TestEigenvalues:
 class TestCollectSample:
     def test_haar_spectrum_on_unit_circle(self):
         cfg = AspectConfig(n=16, dims=(16, 16), trials=1, master_seed=0)
-        eigs = collect_sample(cfg)
+        eigs, _ = collect_sample(cfg)
         assert len(eigs) == 16
         assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-10
 
     def test_sample_size_counts_trials(self):
         cfg = AspectConfig(n=12, dims=(6, 8, 6), trials=2, master_seed=1)
-        eigs = collect_sample(cfg)
+        eigs, _ = collect_sample(cfg)
         assert len(eigs) == 12
 
     def test_radii_angles_consistent(self):
         cfg = AspectConfig(n=12, dims=(6, 8, 6), trials=3, master_seed=2)
-        eigs = collect_sample(cfg)
+        eigs, _ = collect_sample(cfg)
         radii, angles = polar(eigs)
         recon = radii * np.exp(1j * angles)
         # clipping may move a radius by <= 1e-8; away from that, exact
@@ -76,7 +76,8 @@ class TestCollectSample:
         # support radius is 1/sqrt(2) at alpha=2, k=1; finite-size overshoot
         # stays within the calibrated 0.06 margin
         cfg = AspectConfig(n=400, dims=(200, 200), trials=1, master_seed=3)
-        radii, _ = polar(collect_sample(cfg))
+        eigs, _ = collect_sample(cfg)
+        radii, _ = polar(eigs)
         assert radii.max() <= 2**-0.5 + 0.06
 
 

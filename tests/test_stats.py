@@ -59,7 +59,7 @@ class TestKsRadial:
 
     def test_pooled_matrix_spectrum_small(self):
         cfg = AspectConfig(n=240, dims=(120, 120), trials=5, master_seed=2)
-        sam = collect_sample(cfg)
+        sam, _ = collect_sample(cfg)
         rep = ks_radial(sam, RadialLaw(cfg.alphas))
         assert 0.0 <= rep.statistic <= 0.1
         assert rep.sample_size == 600
